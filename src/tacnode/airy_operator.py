@@ -74,6 +74,26 @@ def symmetrized_determinant(kmat: np.ndarray, weights: np.ndarray) -> float:
     return float(sign * np.prod(np.diag(lu)))
 
 
+def _kernel_matrix(x: np.ndarray, sigma: float, ai_nodes: np.ndarray, aip_nodes: np.ndarray) -> np.ndarray:
+    """``K_sigma(x_i, x_j)`` from ``Ai`` and ``Ai'`` at the shifted nodes ``x + sigma``.
+
+    The divided difference is evaluated once per unordered pair and mirrored,
+    so the matrix is exactly symmetric; the diagonal takes its limit.
+    """
+    iu, ju = np.triu_indices(len(x), k=1)
+    kmat = np.zeros((len(x), len(x)))
+    kmat[iu, ju] = (ai_nodes[iu] * aip_nodes[ju] - aip_nodes[iu] * ai_nodes[ju]) / (x[iu] - x[ju])
+    kmat = kmat + kmat.T
+    np.fill_diagonal(kmat, aip_nodes * aip_nodes - (x + sigma) * ai_nodes * ai_nodes)
+    return kmat
+
+
+@functools.lru_cache(maxsize=8)
+def _ray_rule(m: int, T: float) -> QuadratureRule:
+    """Gauss-Legendre rule of order ``m`` on (0, T); its arrays are read-only, so builds share it."""
+    return affine_map_rule(gauss_legendre_rule(m), 0.0, T)
+
+
 @dataclass(frozen=True, eq=False)
 class AiryResolvent:
     """Everything derived from ``(I - K_sigma)^{-1}`` at one shift ``sigma``.
@@ -87,7 +107,6 @@ class AiryResolvent:
     sigma: float
     resolution: Resolution
     rule: QuadratureRule
-    kmat: np.ndarray
     det: float
     r0: np.ndarray
     qvec: np.ndarray
@@ -110,6 +129,11 @@ class AiryResolvent:
     @property
     def weights(self) -> np.ndarray:
         return self.rule.weights
+
+    @property
+    def kmat(self) -> np.ndarray:
+        """Kernel matrix ``K_sigma(x_i, x_j)``, reassembled from the stored Airy values on each access."""
+        return _kernel_matrix(self.nodes, self.sigma, self.ai_nodes, self.aip_nodes)
 
     def solve(self, g):
         """Solve ``f(x_i) - sum_j w_j K(x_i, x_j) f(x_j) = g(x_i)`` at the nodes.
@@ -149,27 +173,32 @@ class AiryResolvent:
         out = gx + krows @ (self.weights * fvec)
         return float(out[0]) if np.ndim(x) == 0 else out
 
+    def _node_sum_matrix(self, part: int) -> np.ndarray:
+        """Symmetric matrix of ``airy_ai_pair(x_i + x_j + sigma)[part]``, one evaluation per unordered pair."""
+        n = len(self.nodes)
+        iu, ju = np.triu_indices(n)
+        mat = np.zeros((n, n))
+        mat[iu, ju] = airy_ai_pair(self.nodes[iu] + self.nodes[ju] + self.sigma)[part]
+        return mat + np.triu(mat, 1).T
+
+    # each smoothing matrix is cached on its own, so a resolvent keeps only the ones in use
     @cached_property
-    def _smoothing_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        triu = np.triu_indices(len(self.nodes))
-        args = self.nodes[:, None] + self.nodes[None, :] + self.sigma
-        ai, aip = airy_ai_pair(args[triu])
-        mats = []
-        for vals in (ai, aip):
-            mat = np.zeros_like(args)
-            mat[triu] = vals
-            mats.append(mat + np.triu(mat, 1).T)
-        return mats[0], mats[1]
+    def _smoothing(self) -> np.ndarray:
+        return self._node_sum_matrix(0)
+
+    @cached_property
+    def _smoothing_prime(self) -> np.ndarray:
+        return self._node_sum_matrix(1)
 
     @property
     def smoothing(self) -> np.ndarray:
         """Matrix ``Ai(x_i + x_j + sigma)`` of the half-kernel smoothing operator."""
-        return self._smoothing_pair[0]
+        return self._smoothing
 
     @property
     def smoothing_prime(self) -> np.ndarray:
         """Matrix ``Ai'(x_i + x_j + sigma)``, the x-derivative of the smoothing."""
-        return self._smoothing_pair[1]
+        return self._smoothing_prime
 
     def smooth(self, fvals: np.ndarray) -> tuple[float, np.ndarray]:
         """Airy smoothing ``int_0^inf Ai(. + y + sigma) f(y) dy`` at 0 and the nodes."""
@@ -224,7 +253,7 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     sigma = float(sigma)
     if sigma < SIGMA_MIN:
         raise UnsupportedRangeError(f"shift {sigma} below supported minimum {SIGMA_MIN}")
-    rule = affine_map_rule(gauss_legendre_rule(resolution.m), 0.0, resolution.T)
+    rule = _ray_rule(resolution.m, resolution.T)
     x = rule.nodes
     w = rule.weights
     sqrt_w = np.sqrt(w)
@@ -232,14 +261,7 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     ai, aip = airy_ai_pair(np.concatenate(([0.0], x)) + sigma)
     ai0, aip0 = float(ai[0]), float(aip[0])
     ai_nodes, aip_nodes = ai[1:], aip[1:]
-
-    # kernel matrix: evaluate once per unordered pair, mirror the strict triangle
-    iu, ju = np.triu_indices(len(x), k=1)
-    kmat = np.zeros((len(x), len(x)))
-    kmat[iu, ju] = (ai_nodes[iu] * aip_nodes[ju] - aip_nodes[iu] * ai_nodes[ju]) / (x[iu] - x[ju])
-    kmat = kmat + kmat.T
-    shifted = x + sigma
-    np.fill_diagonal(kmat, aip_nodes * aip_nodes - shifted * ai_nodes * ai_nodes)
+    kmat = _kernel_matrix(x, sigma, ai_nodes, aip_nodes)
 
     s = np.eye(len(x)) - sqrt_w[:, None] * kmat * sqrt_w[None, :]
     lu = scipy.linalg.lu_factor(s, check_finite=False)
@@ -265,7 +287,6 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
         sigma=sigma,
         resolution=resolution,
         rule=rule,
-        kmat=kmat,
         det=det,
         r0=r0,
         qvec=qvec,
@@ -291,11 +312,21 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     return ar
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=48)
 def _cached_build(sigma: float, m: int, T: float) -> AiryResolvent:
     return build_airy_resolvent(sigma, Resolution(m, T))
 
 
 def get_resolvent(sigma: float, resolution: Resolution = Resolution()) -> AiryResolvent:
-    """Memoized :func:`build_airy_resolvent`; safe because resolvents are immutable."""
+    """Memoized :func:`build_airy_resolvent`; safe because resolvents are immutable.
+
+    The cache keeps the 48 most recently used resolvents.  The largest
+    working set in the package is ``resolvent_form.kernel_tail``: it visits
+    the ``TailSpec().m = 40`` shifts of its tail rule once per kernel point,
+    so ``verify.check_equivalence`` cycles through about 42 resolvents.
+    At 48 entries that makes no more builds than an unbounded cache; at 36,
+    LRU eviction makes every revisit a miss (120 extra builds on a 2 x 2
+    point set).  The bound matters because a resolvent holds about 0.2 MiB
+    once its smoothing matrices are in use.
+    """
     return _cached_build(float(sigma), resolution.m, resolution.T)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, Resolution, build_airy_resolvent, get_resolvent
+from .airy_operator import AiryResolvent, Resolution, _kernel_matrix, build_airy_resolvent, get_resolvent
 from .errors import CacheInvalidError
 from .quadrature import QuadratureRule
 
@@ -105,26 +105,33 @@ def write_table(obj, fmt_name: str, path, banner: bool = True) -> None:
         raise ValueError(f"unknown table format {fmt_name!r}")
 
 
+def _parse_cell(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
 def read_csv_table(path) -> Table:
     """Parse a CSV written by :func:`write_table`; floats return bit-identical.
 
-    The ``#`` banner line is skipped and quoted cells are unquoted, so
-    commas, double quotes and line breaks inside a cell come back intact.
+    The ``key=value`` tokens of the ``# tacnode <version> ...`` banner come
+    back as ``meta``, each value converted like a cell (float if it parses,
+    else str); a file without a banner reads back with ``meta == {}``.
+    Quoted cells are unquoted, so commas, double quotes and line breaks
+    inside a cell come back intact.
     """
     meta = {}
     with Path(path).open(encoding="utf-8", newline="") as fh:
-        if not fh.readline().startswith("#"):
+        first = fh.readline()
+        if first.startswith("#"):
+            for token in first.split()[3:]:
+                key, _, value = token.partition("=")
+                meta[key] = _parse_cell(value)
+        else:
             fh.seek(0)
         header, *lines = csv.reader(fh)
-    rows = []
-    for line in lines:
-        cells = []
-        for cell in line:
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        rows.append(tuple(cells))
+    rows = [tuple(_parse_cell(cell) for cell in line) for line in lines]
     return Table(tuple(header), rows, meta)
 
 
@@ -224,11 +231,7 @@ def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
     ai, aip = airy_ai_pair(np.concatenate(([0.0], nodes)) + file_sigma)
     ai0, aip0 = float(ai[0]), float(aip[0])
     ai_nodes, aip_nodes = ai[1:], aip[1:]
-    iu, ju = np.triu_indices(m, k=1)
-    kmat = np.zeros((m, m))
-    kmat[iu, ju] = (ai_nodes[iu] * aip_nodes[ju] - aip_nodes[iu] * ai_nodes[ju]) / (nodes[iu] - nodes[ju])
-    kmat = kmat + kmat.T
-    np.fill_diagonal(kmat, aip_nodes * aip_nodes - (nodes + file_sigma) * ai_nodes * ai_nodes)
+    kmat = _kernel_matrix(nodes, file_sigma, ai_nodes, aip_nodes)
 
     probe = m // 3
     residual = qvec[probe] - kmat[probe] @ (weights * qvec) - ai_nodes[probe]
@@ -243,7 +246,6 @@ def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
         sigma=file_sigma,
         resolution=resolution,
         rule=rule,
-        kmat=kmat,
         det=det,
         r0=r0,
         qvec=qvec,

@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from tacnode.airy import airy_ai, airy_ai_pair, airy_ai_prime
+from tacnode.airy import _CENTRES, airy_ai, airy_ai_pair, airy_ai_prime
 
 from conftest import oracle_airy
 
 # frozen from the Maclaurin-series oracle (60+ terms, 60-digit arithmetic)
 AI_AT_ZERO = 0.3550280538878172
 AIP_AT_ZERO = -0.2588194037928068
+
+# Taylor-branch centres -7.5, -7.25, ..., 7.5 and the midpoints between them,
+# where the step |x - c| = 0.125 is largest
+CENTRES = -7.5 + 0.25 * np.arange(61)
+MIDPOINTS = CENTRES[:-1] + 0.125
 
 
 def test_value_at_zero_matches_series_oracle():
@@ -64,8 +69,14 @@ def test_pointwise_against_oracle(x):
         assert aip == pytest.approx(aip_ref, abs=1e-12)
 
 
+def test_centre_literals_equal_oracle():
+    assert [c for c, _, _ in _CENTRES] == list(CENTRES)
+    for c, ai, aip in _CENTRES:
+        assert (ai, aip) == oracle_airy(c)
+
+
 def test_dense_grid_against_oracle():
-    xs = np.linspace(-15.0, 15.0, 301)
+    xs = np.concatenate([np.linspace(-15.0, 15.0, 301), CENTRES, MIDPOINTS])
     ai, aip = airy_ai_pair(xs)
     for x, a, ap in zip(xs, ai, aip):
         ref, refp = oracle_airy(x)
@@ -94,3 +105,15 @@ def test_scalar_and_array_paths_agree():
         assert airy_ai_prime(float(x)) == aip_arr[i]
     shaped = airy_ai(xs.reshape(1, 5))
     assert shaped.shape == (1, 5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_inputs():
+    ai, aip = airy_ai_pair(np.array([np.nan, np.inf, -np.inf, 1.0]))
+    assert np.isnan(ai[0]) and np.isnan(aip[0])
+    assert (ai[1], aip[1]) == (0.0, 0.0)
+    assert ai[2] == 0.0 and np.isnan(aip[2])
+    assert (ai[3], aip[3]) == airy_ai_pair(1.0)
+    assert math.isnan(airy_ai(math.nan))
+    assert airy_ai_prime(math.inf) == 0.0
+    assert math.isnan(airy_ai_prime(-math.inf))

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import tacnode
+from tacnode import airy_operator, verify
 from tacnode.airy import airy_ai, airy_ai_prime
 from tacnode.airy_operator import (
     Resolution,
@@ -206,3 +208,23 @@ def test_concurrent_solves_match_serial_bit_for_bit():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "workers=4 mismatches=0"
+
+
+def test_resolvent_cache_cap_holds_the_verify_working_set(monkeypatch):
+    # a kernel tail integral revisits its 40 shifts for every (u, v) pair
+    checks = (verify.check_rh_kernel, lambda: verify.check_equivalence([1.0], [1.0], [0.1], points=(-0.5, 0.5)))
+    uncached = airy_operator._cached_build.__wrapped__
+
+    def misses(maxsize):
+        """Resolvent builds of each check, started from an empty cache of ``maxsize`` entries."""
+        counts = []
+        for check in checks:
+            cache = functools.lru_cache(maxsize=maxsize)(uncached)
+            monkeypatch.setattr(airy_operator, "_cached_build", cache)
+            check()
+            counts.append(cache.cache_info().misses)
+        return counts
+
+    capped = misses(airy_operator._cached_build.cache_info().maxsize)
+    assert capped == misses(None)
+    assert misses(36)[1] > capped[1]

@@ -82,6 +82,9 @@ def test_numerical_failures_exit_3(tmp_path):
     assert run_cli(["tw", "--sigma-grid", "-8.5:-8.4:2", "--out", str(tmp_path / "x.csv")]) == 3
     # unwritable output path
     assert run_cli(["tw", "--sigma-grid", "0:1:2", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 3
+    # a gap probability at two distinct times
+    assert run_cli(["gap", "--lambda", "0.8", "--Sigma", "1.2", "--tau1", "0.1", "--tau2", "0.35",
+                    "--a1", "-1", "--a2", "1"]) == 3
 
 
 def test_strict_flag_rejects_short_truncation(tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from tacnode.airy_operator import Resolution
+from tacnode.errors import MultiTimeUnsupportedError
 from tacnode.gap import gap_probability
 from tacnode.resolvent_form import ResolventParams, kernel
 
@@ -33,10 +34,8 @@ def test_self_convergence_under_order_doubling(params):
     assert abs(coarse - fine) <= 1e-7
 
 
-def test_multi_time_interval_determinant(params):
-    # for distinct times the restricted determinant is still well-defined
-    # (it is not a probability), and converges under order doubling
+def test_multi_time_interval_rejected(params):
+    # the two-time kernel restricted to one interval is no gap probability
     multi = ResolventParams.create(1.0, Sigma=1.0, tau1=0.0, tau2=0.3)
-    value = gap_probability(multi, -1.0, 1.0)
-    finer = gap_probability(multi, -1.0, 1.0, Resolution(m=120))
-    assert abs(value - finer) <= 1e-7
+    with pytest.raises(MultiTimeUnsupportedError):
+        gap_probability(multi, -1.0, 1.0)

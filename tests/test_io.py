@@ -33,6 +33,7 @@ def test_csv_write_and_parse_bit_identical(tmp_path):
     back = read_csv_table(path)
     assert back.header == ("a", "b", "c")
     assert back.rows == rows
+    assert back.meta == {"m": 80}
 
 
 def test_csv_quoted_cells_roundtrip(tmp_path):
@@ -43,12 +44,14 @@ def test_csv_quoted_cells_roundtrip(tmp_path):
     back = read_csv_table(path)
     assert back.header == table.header
     assert back.rows == rows
+    assert back.meta == {"suite": "compat"}
 
 
 def test_plain_cells_written_unquoted(tmp_path):
     path = tmp_path / "p.csv"
-    write_table(Table(("a", "b"), [(1.0, "x")], {}), "csv", path, banner=False)
+    write_table(Table(("a", "b"), [(1.0, "x")], {"m": 80}), "csv", path, banner=False)
     assert path.read_bytes() == b"a,b\n1.0000000000000000e+00,x\n"
+    assert read_csv_table(path).meta == {}
 
 
 def test_empty_table_is_header_only(tmp_path):
