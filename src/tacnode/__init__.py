@@ -15,12 +15,8 @@ from .airy_operator import (
     AiryResolvent,
     Resolution,
     airy_kernel_shifted,
-    apply_r0,
     build_airy_resolvent,
-    fredholm_det,
     get_resolvent,
-    nystrom_extend,
-    resolvent_solve,
     symmetrized_determinant,
 )
 from .errors import (
@@ -44,8 +40,7 @@ __all__ = [
     "airy_ai", "airy_ai_pair", "airy_ai_prime",
     "QuadratureRule", "gauss_legendre_rule", "affine_map_rule",
     "Resolution", "AiryResolvent", "airy_kernel_shifted", "build_airy_resolvent",
-    "get_resolvent", "resolvent_solve", "apply_r0", "nystrom_extend",
-    "fredholm_det", "symmetrized_determinant",
+    "get_resolvent", "symmetrized_determinant",
     "hastings_mcleod", "hm_derivative", "hamiltonian", "f2_det",
     "ResolventParams", "TailSpec",
     "RHParams", "SParam", "ResidueEntries", "residue_matrix",

@@ -65,13 +65,21 @@ def airy_kernel_shifted(sigma, x, y):
     return float(k[0]) if scalar else k
 
 
+def _lu_det(a: np.ndarray) -> tuple[tuple, float]:
+    """Pivoted LU factorization ``(lu, piv)`` of ``a`` and its determinant.
+
+    The determinant is the product of the diagonal of ``U``, signed by the
+    parity of the row interchanges.
+    """
+    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    sign = 1.0 if (piv != np.arange(len(piv))).sum() % 2 == 0 else -1.0
+    return (lu, piv), float(sign * np.prod(np.diag(lu)))
+
+
 def symmetrized_determinant(kmat: np.ndarray, weights: np.ndarray) -> float:
     """det(I - W^{1/2} K W^{1/2}) by pivoted LU factorization."""
     sqrt_w = np.sqrt(weights)
-    s = np.eye(len(weights)) - sqrt_w[:, None] * kmat * sqrt_w[None, :]
-    lu, piv = scipy.linalg.lu_factor(s, check_finite=False)
-    sign = 1.0 if (piv != np.arange(len(piv))).sum() % 2 == 0 else -1.0
-    return float(sign * np.prod(np.diag(lu)))
+    return _lu_det(np.eye(len(weights)) - sqrt_w[:, None] * kmat * sqrt_w[None, :])[1]
 
 
 def _kernel_matrix(x: np.ndarray, sigma: float, ai_nodes: np.ndarray, aip_nodes: np.ndarray) -> np.ndarray:
@@ -221,26 +229,6 @@ class AiryResolvent:
         return float(airy_kernel_shifted(self.sigma, x, self.nodes[j]) + krow @ (self.weights * self.resolvent_matrix[:, j]))
 
 
-def resolvent_solve(ar: AiryResolvent, g) -> np.ndarray:
-    """Module-level alias of :meth:`AiryResolvent.solve`."""
-    return ar.solve(g)
-
-
-def fredholm_det(ar: AiryResolvent) -> float:
-    """Fredholm determinant det(I - K_sigma) carried by the resolvent."""
-    return ar.det
-
-
-def nystrom_extend(ar: AiryResolvent, fvec, g, x):
-    """Module-level alias of :meth:`AiryResolvent.extend`."""
-    return ar.extend(fvec, g, x)
-
-
-def apply_r0(ar: AiryResolvent, f) -> float:
-    """Module-level alias of :meth:`AiryResolvent.apply_r0`."""
-    return ar.apply_r0(f)
-
-
 def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), strict: bool = False) -> AiryResolvent:
     """Discretize ``(I - K_sigma)^{-1}`` and precompute its derived data.
 
@@ -263,10 +251,7 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     ai_nodes, aip_nodes = ai[1:], aip[1:]
     kmat = _kernel_matrix(x, sigma, ai_nodes, aip_nodes)
 
-    s = np.eye(len(x)) - sqrt_w[:, None] * kmat * sqrt_w[None, :]
-    lu = scipy.linalg.lu_factor(s, check_finite=False)
-    sign = 1.0 if (lu[1] != np.arange(len(x))).sum() % 2 == 0 else -1.0
-    det = float(sign * np.prod(np.diag(lu[0])))
+    lu, det = _lu_det(np.eye(len(x)) - sqrt_w[:, None] * kmat * sqrt_w[None, :])
     if det < DET_FLOOR:
         raise SingularResolventError(f"det(I - K) = {det:.3e} at sigma = {sigma} is below {DET_FLOOR}")
 

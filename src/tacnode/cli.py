@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .airy_operator import Resolution, build_airy_resolvent
 from .errors import TacnodeError
 from .gap import gap_probability
 from .io import KernelGrid, Table, load_or_build, write_table
-from .resolvent_form import ResolventParams, kernel_grid
+from .resolvent_form import ResolventParams, kernel_columns, kernel_rows
 from .rh_form import RHParams, residue_matrix
 from .verify import run_suite
 
@@ -98,7 +97,7 @@ def _build_parser():
     kern.add_argument("--grid", type=_parse_grid, help="start:stop:count for both axes")
     kern.add_argument("--u-grid", type=_parse_grid)
     kern.add_argument("--v-grid", type=_parse_grid)
-    kern.add_argument("--workers", type=int, default=1, help="thread pool size over grid rows")
+    kern.add_argument("--workers", type=int, default=1, help="no-op, kept so existing command lines parse")
     _add_resolution(kern)
     _add_output(kern, default_format="csv")
 
@@ -168,14 +167,9 @@ def _cmd_kernel(args) -> int:
     if args.strict:
         build_airy_resolvent(params.sigma, resolution, strict=True)
 
-    def row(u: float) -> np.ndarray:
-        return kernel_grid(params, [u], vs)[0]
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            values = np.vstack(list(pool.map(row, us)))
-    else:
-        values = np.vstack([row(u) for u in us])
+    # row by row against one v side: each row is bit-identical to kernel_grid(params, [u], vs)[0]
+    columns = kernel_columns(params, vs)
+    values = np.vstack([kernel_rows(params, columns, [u]) for u in us])
     meta = {
         "lambda": params.lam, "Sigma": params.Sigma, "sigma": params.sigma,
         "tau1": params.tau1, "tau2": params.tau2, "m": args.m, "T": args.T,

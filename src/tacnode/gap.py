@@ -13,9 +13,8 @@ kernel of any gap event.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .airy_operator import Resolution
+from .airy_operator import Resolution, _lu_det
 from .errors import MultiTimeUnsupportedError
 from .quadrature import affine_map_rule, gauss_legendre_rule
 from .resolvent_form import ResolventParams, kernel_grid
@@ -36,7 +35,4 @@ def gap_probability(params: ResolventParams, a1: float, a2: float, res2: Resolut
         raise ValueError(f"interval endpoints must satisfy a1 < a2, got {a1}, {a2}")
     rule = affine_map_rule(gauss_legendre_rule(res2.m), a1, a2)
     kmat = kernel_grid(params, rule.nodes, rule.nodes)
-    a = np.eye(res2.m) - kmat * rule.weights[None, :]
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    sign = 1.0 if (piv != np.arange(res2.m)).sum() % 2 == 0 else -1.0
-    return float(sign * np.prod(np.diag(lu)))
+    return _lu_det(np.eye(res2.m) - kmat * rule.weights[None, :])[1]

@@ -11,6 +11,11 @@ The compact two-term kernel, the historical six-term kernel, the rank-2
 shift derivative, and the tail-integrated reconstruction are all provided;
 they agree up to discretization error, which is what the verification
 suite certifies.
+
+One Airy call serves each profile set: ``_b_pair`` gives ``b_tilde`` and
+``b`` together.  A kernel grid splits into its v side (``kernel_columns``)
+and its rows (``kernel_rows``), so a grid built row by row evaluates the
+v side once.
 """
 
 from __future__ import annotations
@@ -143,40 +148,52 @@ class ResolventParams:
         )
 
 
+def _b_pair(params: ResolventParams, tau: float, z, x):
+    """``(b_tilde, b)`` at the points ``x`` for the shift ``z``, from one Airy call.
+
+    ``z`` and ``x`` broadcast, so a row of shifts against a column of
+    points gives one profile per column.
+    """
+    lam, C, Sigma = params.lam, params.C, params.Sigma
+    cx = C * x
+    yt = -z + cx + math.sqrt(lam) * (Sigma + tau * tau)
+    y = z + cx + Sigma + tau * tau
+    ai, _ = airy_ai_pair(np.stack((lam ** (1.0 / 6.0) * yt, y)))
+    bt = np.exp(-math.sqrt(lam) * tau * yt + lam * tau**3 / 3.0) * ai[0]
+    b = np.exp(-tau * y + tau**3 / 3.0) * ai[1]
+    return bt, b
+
+
 def b_values(params: ResolventParams, tau: float, z: float, x, tilde: bool = False):
     """Airy profile ``b`` (or ``b_tilde``) at spatial points ``x >= 0``."""
-    lam, C, Sigma = params.lam, params.C, params.Sigma
-    if tilde:
-        yt = -z + C * np.asarray(x, dtype=float) + math.sqrt(lam) * (Sigma + tau * tau)
-        ai, _ = airy_ai_pair(lam ** (1.0 / 6.0) * yt)
-        return np.exp(-math.sqrt(lam) * tau * yt + lam * tau**3 / 3.0) * ai
-    y = z + C * np.asarray(x, dtype=float) + Sigma + tau * tau
-    ai, _ = airy_ai_pair(y)
-    return np.exp(-tau * y + tau**3 / 3.0) * ai
+    return _b_pair(params, tau, z, np.asarray(x, dtype=float))[0 if tilde else 1]
+
+
+def _script_a_pair(params: ResolventParams, tau: float, z: float):
+    """``(A_tilde, A)`` at 0 and the nodes: arrays of length ``m + 1``, the value at 0 first.
+
+    Each profile on the nodes is smoothed into the other's ``A``; both
+    smoothings are one product with the smoothing matrix.
+    """
+    ar = params.resolvent
+    bt, b = _b_pair(params, tau, z, np.concatenate(([0.0], ar.nodes)))
+    wf = ar.weights[:, None] * np.column_stack((b[1:], bt[1:]))
+    sm = np.vstack((ar.ai_nodes @ wf, ar.smoothing @ wf))
+    return bt - params.lam ** (-1.0 / 6.0) * sm[:, 0], b - params.lam ** (1.0 / 6.0) * sm[:, 1]
 
 
 def script_a(params: ResolventParams, tau: float, z: float, tilde: bool = False) -> FuncOnGrid:
     """Smoothed profile: ``b`` minus the Airy smoothing of the opposite profile."""
-    ar = params.resolvent
-    x0 = np.concatenate(([0.0], ar.nodes))
-    if tilde:
-        own = b_values(params, tau, z, x0, tilde=True)
-        other = b_values(params, tau, z, ar.nodes, tilde=False)
-        factor = params.lam ** (-1.0 / 6.0)
-    else:
-        own = b_values(params, tau, z, x0, tilde=False)
-        other = b_values(params, tau, z, ar.nodes, tilde=True)
-        factor = params.lam ** (1.0 / 6.0)
-    sm0, sm = ar.smooth(other)
-    return FuncOnGrid(float(own[0] - factor * sm0), own[1:] - factor * sm)
+    a = _script_a_pair(params, tau, z)[0 if tilde else 1]
+    return FuncOnGrid(float(a[0]), a[1:])
 
 
 def script_a_at(params: ResolventParams, tau: float, z: float, x, tilde: bool = False):
     """Smoothed profile evaluated at arbitrary points ``x >= 0`` off the grid."""
     ar = params.resolvent
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    own = b_values(params, tau, z, x, tilde=tilde)
-    other = b_values(params, tau, z, ar.nodes, tilde=not tilde)
+    bt, b = _b_pair(params, tau, z, np.concatenate((x, ar.nodes)))
+    own, other = (bt[: len(x)], b[len(x):]) if tilde else (b[: len(x)], bt[len(x):])
     factor = params.lam ** (-1.0 / 6.0) if tilde else params.lam ** (1.0 / 6.0)
     rows, _ = airy_ai_pair(x[:, None] + ar.nodes[None, :] + params.sigma)
     return own - factor * (rows @ (ar.weights * other))
@@ -185,12 +202,8 @@ def script_a_at(params: ResolventParams, tau: float, z: float, x, tilde: bool = 
 def phat(params: ResolventParams, tau: float, z: float) -> tuple[float, float]:
     """Boundary functionals ``(phat_1, phat_2)`` driving the rank-2 derivative."""
     ar = params.resolvent
-    a_tilde = script_a(params, tau, z, tilde=True)
-    a_plain = script_a(params, tau, z, tilde=False)
-    return (
-        ar.apply_r0_values(a_tilde.at0, a_tilde.values),
-        ar.apply_r0_values(a_plain.at0, a_plain.values),
-    )
+    a_tilde, a_plain = _script_a_pair(params, tau, z)
+    return ar.apply_r0_values(a_tilde[0], a_tilde[1:]), ar.apply_r0_values(a_plain[0], a_plain[1:])
 
 
 def _heat_term(tau1: float, tau2: float, u, v):
@@ -202,34 +215,49 @@ def _heat_term(tau1: float, tau2: float, u, v):
     return -np.exp(-du * du / (4.0 * dt)) / math.sqrt(4.0 * math.pi * dt)
 
 
+def _grid_profiles(params: ResolventParams, tau: float, zs: np.ndarray):
+    """``b_tilde`` and ``A`` at the nodes (rows), one column per shift in ``zs``."""
+    ar = params.resolvent
+    bt, b = _b_pair(params, tau, zs[None, :], ar.nodes[:, None])
+    return bt, b - params.lam ** (1.0 / 6.0) * (ar.smoothing @ (ar.weights[:, None] * bt))
+
+
+class KernelColumns(NamedTuple):
+    """The v side of a kernel grid: everything that does not depend on ``u``.
+
+    ``wbt`` holds ``w * b_tilde`` and ``wsolved`` holds ``w * (I - K)^{-1} A``
+    at the nodes, one column per ``v``.
+    """
+
+    vs: np.ndarray
+    wbt: np.ndarray
+    wsolved: np.ndarray
+
+
+def kernel_columns(params: ResolventParams, vs) -> KernelColumns:
+    """Profiles, smoothing and solve of the v side, once for a whole grid."""
+    ar = params.resolvent
+    vs = np.atleast_1d(np.asarray(vs, dtype=float))
+    bt, a = _grid_profiles(params, -params.tau2, vs)
+    w = ar.weights[:, None]
+    return KernelColumns(vs, w * bt, w * ar.solve(a))
+
+
+def kernel_rows(params: ResolventParams, columns: KernelColumns, us) -> np.ndarray:
+    """Kernel rows ``L[i, j] = kernel(params, us[i], columns.vs[j])`` against a precomputed v side."""
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    bt, a = _grid_profiles(params, params.tau1, us)
+    C = params.C
+    grid = C * params.lam ** (1.0 / 3.0) * (bt.T @ columns.wbt) + C * (a.T @ columns.wsolved)
+    return grid + _heat_term(params.tau1, params.tau2, us[:, None], columns.vs[None, :])
+
+
 def kernel_grid(params: ResolventParams, us, vs) -> np.ndarray:
     """Tacnode kernel on a cartesian grid, one batched evaluation.
 
     Returns the matrix ``L[i, j] = kernel(params, us[i], vs[j])``.
     """
-    ar = params.resolvent
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    w = ar.weights
-    C, lam = params.C, params.lam
-
-    def _profiles(tau, zs):
-        # columns indexed by z, rows by node; one Airy evaluation per matrix
-        cx = C * ar.nodes[:, None]
-        yt = -zs[None, :] + cx + math.sqrt(lam) * (params.Sigma + tau * tau)
-        ai_t, _ = airy_ai_pair(lam ** (1.0 / 6.0) * yt)
-        bt = np.exp(-math.sqrt(lam) * tau * yt + lam * tau**3 / 3.0) * ai_t
-        y = zs[None, :] + cx + params.Sigma + tau * tau
-        ai_p, _ = airy_ai_pair(y)
-        bp = np.exp(-tau * y + tau**3 / 3.0) * ai_p
-        a = bp - lam ** (1.0 / 6.0) * (ar.smoothing @ (w[:, None] * bt))
-        return bt, a
-
-    bt_u, a_u = _profiles(params.tau1, us)
-    bt_v, a_v = _profiles(-params.tau2, vs)
-    solved = ar.solve(a_v)
-    grid = C * lam ** (1.0 / 3.0) * (bt_u.T @ (w[:, None] * bt_v)) + C * (a_u.T @ (w[:, None] * solved))
-    return grid + _heat_term(params.tau1, params.tau2, us[:, None], vs[None, :])
+    return kernel_rows(params, kernel_columns(params, vs), us)
 
 
 def kernel(params: ResolventParams, u: float, v: float) -> float:
@@ -249,14 +277,9 @@ def kernel_six_term(params: ResolventParams, u: float, v: float) -> float:
     w = ar.weights
     C, lam, tau = params.C, params.lam, params.tau1
 
-    bu = b_values(params, tau, u, ar.nodes)
-    bv = b_values(params, -tau, v, ar.nodes)
-    btu = b_values(params, tau, u, ar.nodes, tilde=True)
-    btv = b_values(params, -tau, v, ar.nodes, tilde=True)
-    _, s_bu = ar.smooth(bu)
-    _, s_bv = ar.smooth(bv)
-    _, s_btu = ar.smooth(btu)
-    _, s_btv = ar.smooth(btv)
+    btu, bu = _b_pair(params, tau, u, ar.nodes)
+    btv, bv = _b_pair(params, -tau, v, ar.nodes)
+    s_bu, s_bv, s_btu, s_btv = (ar.smoothing @ (w[:, None] * np.column_stack((bu, bv, btu, btv)))).T
 
     def dots(f, g):
         # double integral of (I - K)^{-1} against f(x) g(y)

@@ -9,6 +9,10 @@ Painleve II expressions.  Entries three and four of ``p`` are purely
 imaginary for real data, so ``i p_3`` and ``i p_4`` are stored as reals and
 the imaginary units are folded into the kernel formula analytically.
 
+One Airy call serves each profile set: ``_profile_pair`` gives the tilde
+and plain profiles with their z-derivatives together, and one product by
+the smoothing matrix smooths them all.
+
 Parameters: scale factors ``r1, r2 > 0``, endpoint parameters ``s1, s2``,
 time ``tau``; derived constants::
 
@@ -109,26 +113,8 @@ def from_resolvent_params(lam: float, Sigma: float, tau: float, resolution: Reso
     return RHParams.create(lam**0.25, 1.0, lam**0.75 * half, half, tau, resolution)
 
 
-def b_with_derivs(params: RHParams, z: float, x, tilde: bool = False, order: int = 0):
-    """Profile ``b_z`` (or its tilde partner) with analytic z-derivatives.
-
-    Returns a tuple of ``order + 1`` arrays: the values and, if requested,
-    first and second derivatives with respect to ``z``.  One Airy
-    evaluation serves all of them (the second derivative uses Ai'' = x Ai).
-    """
-    x = np.asarray(x, dtype=float)
-    C, tau = params.C, params.tau
-    if tilde:
-        r = params.r1
-        arg = r ** (2.0 / 3.0) * (-z + C * x + 2.0 * params.s1 / r)
-        env = _SQRT_2PI * r ** (1.0 / 6.0) * np.exp(r**2 * tau * (z - C * x))
-        zsign = -1.0
-    else:
-        r = params.r2
-        arg = r ** (2.0 / 3.0) * (z + C * x + 2.0 * params.s2 / r)
-        env = _SQRT_2PI * r ** (1.0 / 6.0) * np.exp(-(r**2) * tau * (z + C * x))
-        zsign = 1.0
-    ai, aip = airy_ai_pair(arg)
+def _z_derivs(r: float, zsign: float, tau: float, env, arg, ai, aip, order: int):
+    """The profile ``env * Ai(arg)`` and its first ``order`` z-derivatives; Ai'' = x Ai gives the second."""
     tau_fac = -zsign * r**2 * tau
     b = env * ai
     if order == 0:
@@ -140,9 +126,62 @@ def b_with_derivs(params: RHParams, z: float, x, tilde: bool = False, order: int
     return b, db, d2b
 
 
+def _profile_pair(params: RHParams, z: float, x, order: int):
+    """Tilde and plain profiles at ``x`` with ``order`` z-derivatives, from one Airy call.
+
+    Returns two tuples of ``order + 1`` arrays, tilde first.
+    """
+    tau, r1, r2 = params.tau, params.r1, params.r2
+    cx = params.C * x
+    arg_t = r1 ** (2.0 / 3.0) * (-z + cx + 2.0 * params.s1 / r1)
+    arg_p = r2 ** (2.0 / 3.0) * (z + cx + 2.0 * params.s2 / r2)
+    ai, aip = airy_ai_pair(np.stack((arg_t, arg_p)))
+    env_t = _SQRT_2PI * r1 ** (1.0 / 6.0) * np.exp(r1**2 * tau * (z - cx))
+    env_p = _SQRT_2PI * r2 ** (1.0 / 6.0) * np.exp(-(r2**2) * tau * (z + cx))
+    return (
+        _z_derivs(r1, -1.0, tau, env_t, arg_t, ai[0], aip[0], order),
+        _z_derivs(r2, 1.0, tau, env_p, arg_p, ai[1], aip[1], order),
+    )
+
+
+def b_with_derivs(params: RHParams, z: float, x, tilde: bool = False, order: int = 0):
+    """Profile ``b_z`` (or its tilde partner) with analytic z-derivatives.
+
+    Returns a tuple of ``order + 1`` arrays: the values and, if requested,
+    first and second derivatives with respect to ``z``.  One Airy
+    evaluation serves all of them (the second derivative uses Ai'' = x Ai).
+    """
+    return _profile_pair(params, z, np.asarray(x, dtype=float), order)[0 if tilde else 1]
+
+
 def b_values(params: RHParams, z: float, x, tilde: bool = False):
     """Profile values only."""
     return b_with_derivs(params, z, x, tilde=tilde, order=0)[0]
+
+
+def _smoothed_pair(params: RHParams, z: float, order: int):
+    """Both profiles and their Airy smoothings at 0 and the nodes, with ``order`` z-derivatives.
+
+    Returns ``(bt, b, sm_t, sm)``, each a tuple of ``order + 1`` arrays of
+    length ``m + 1`` with the value at 0 first; ``sm_t`` smooths ``bt`` and
+    ``sm`` smooths ``b``.  One Airy call and one product with the smoothing
+    matrix serve them all.
+    """
+    ar = params.resolvent
+    bt, b = _profile_pair(params, z, np.concatenate(([0.0], ar.nodes)), order)
+    wf = ar.weights[:, None] * np.column_stack([f[1:] for f in bt + b])
+    sm = np.vstack((ar.ai_nodes @ wf, ar.smoothing @ wf))
+    return bt, b, tuple(sm[:, : order + 1].T), tuple(sm[:, order + 1 :].T)
+
+
+def _script_a_pair(params: RHParams, z: float, order: int):
+    """``(A_tilde, A)``: two tuples of ``order + 1`` :class:`FuncOnGrid` entries."""
+    bt, b, sm_t, sm = _smoothed_pair(params, z, order)
+    D = params.D
+    return (
+        tuple(FuncOnGrid(float(f[0] - s[0] / D), f[1:] - s[1:] / D) for f, s in zip(bt, sm)),
+        tuple(FuncOnGrid(float(f[0] - D * s[0]), f[1:] - D * s[1:]) for f, s in zip(b, sm_t)),
+    )
 
 
 def script_a(params: RHParams, z: float, tilde: bool = False, order: int = 0):
@@ -152,16 +191,7 @@ def script_a(params: RHParams, z: float, tilde: bool = False, order: int = 0):
     variant with ``1/D`` and the roles of the profiles swapped.  Returns
     ``order + 1`` :class:`FuncOnGrid` entries.
     """
-    ar = params.resolvent
-    x0 = np.concatenate(([0.0], ar.nodes))
-    own = b_with_derivs(params, z, x0, tilde=tilde, order=order)
-    other = b_with_derivs(params, z, ar.nodes, tilde=not tilde, order=order)
-    factor = 1.0 / params.D if tilde else params.D
-    out = []
-    for own_k, other_k in zip(own, other):
-        sm0, sm = ar.smooth(other_k)
-        out.append(FuncOnGrid(float(own_k[0] - factor * sm0), own_k[1:] - factor * sm))
-    return tuple(out)
+    return _script_a_pair(params, z, order)[0 if tilde else 1]
 
 
 @dataclass(frozen=True)
@@ -201,19 +231,13 @@ def p_vector(params: RHParams, z: float, derivs: bool = False) -> PVector:
     the column ODE system, with all derivatives taken analytically.
     """
     ar = params.resolvent
-    order = 2 if derivs else 1
-    a_tilde = script_a(params, z, tilde=True, order=order)
-    a_plain = script_a(params, z, tilde=False, order=order)
-    p1 = ar.apply_r0_values(*a_tilde[0])
-    p2 = ar.apply_r0_values(*a_plain[0])
-    dp1 = ar.apply_r0_values(*a_tilde[1])
-    dp2 = ar.apply_r0_values(*a_plain[1])
+    a_tilde, a_plain = _script_a_pair(params, z, 2 if derivs else 1)
+    p1, dp1, *ddp1 = (ar.apply_r0_values(*a) for a in a_tilde)
+    p2, dp2, *ddp2 = (ar.apply_r0_values(*a) for a in a_plain)
     ip3, ip4 = _ip34(params, p1, p2, dp1, dp2)
     if not derivs:
         return PVector(p1, p2, ip3, ip4, dp1, dp2)
-    ddp1 = ar.apply_r0_values(*a_tilde[2])
-    ddp2 = ar.apply_r0_values(*a_plain[2])
-    dip3, dip4 = _ip34(params, dp1, dp2, ddp1, ddp2)
+    dip3, dip4 = _ip34(params, dp1, dp2, ddp1[0], ddp2[0])
     return PVector(p1, p2, ip3, ip4, dp1, dp2, dip3, dip4)
 
 
@@ -223,30 +247,21 @@ def m_first_column(params: RHParams, z: float, order: int = 0):
     Returns ``order + 1`` pairs ``(m1, m2)``.
     """
     ar = params.resolvent
-    x0 = np.concatenate(([0.0], ar.nodes))
-    bt = b_with_derivs(params, z, x0, tilde=True, order=order)
-    out = []
-    for bt_k in bt:
-        m1 = ar.apply_r0_values(bt_k[0], bt_k[1:])
-        sm0, sm = ar.smooth(bt_k[1:])
-        m2 = -params.D * ar.apply_r0_values(sm0, sm)
-        out.append((m1, m2))
-    return tuple(out)
+    bt, _, sm_t, _ = _smoothed_pair(params, z, order)
+    return tuple(
+        (ar.apply_r0_values(f[0], f[1:]), -params.D * ar.apply_r0_values(s[0], s[1:])) for f, s in zip(bt, sm_t)
+    )
 
 
 def m_top_left(params: RHParams, z: float) -> np.ndarray:
     """Top-left 2x2 block of the RH matrix via Airy-resolvent formulas."""
     ar = params.resolvent
-    x0 = np.concatenate(([0.0], ar.nodes))
-    b_plain = b_values(params, z, x0)
-    b_tilde = b_values(params, z, x0, tilde=True)
-    m11 = ar.apply_r0_values(b_tilde[0], b_tilde[1:])
-    m22 = ar.apply_r0_values(b_plain[0], b_plain[1:])
-    sm0_t, sm_t = ar.smooth(b_tilde[1:])
-    sm0_p, sm_p = ar.smooth(b_plain[1:])
-    m21 = -params.D * ar.apply_r0_values(sm0_t, sm_t)
-    m12 = -1.0 / params.D * ar.apply_r0_values(sm0_p, sm_p)
-    return np.array([[m11, m12], [m21, m22]])
+    (bt,), (b,), (sm_t,), (sm,) = _smoothed_pair(params, z, 0)
+
+    def r0(f):
+        return ar.apply_r0_values(f[0], f[1:])
+
+    return np.array([[r0(bt), -1.0 / params.D * r0(sm)], [-params.D * r0(sm_t), r0(b)]])
 
 
 def _check_pair(plus: RHParams, minus: RHParams) -> None:

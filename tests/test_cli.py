@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import tacnode.cli
+import tacnode.resolvent_form as rf
 from tacnode.cli import run_cli
 from tacnode.io import read_csv_table
 
@@ -41,6 +43,39 @@ def test_kernel_parallel_matches_serial(tmp_path):
     assert run_cli(args + ["--workers", "1", "--out", str(serial)]) == 0
     assert run_cli(args + ["--workers", "4", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("times", [{"tau": 0.15}, {"tau1": 0.1, "tau2": 0.35}])
+def test_kernel_csv_rows_equal_kernel_grid_rows(tmp_path, times):
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--lambda", "1.3", "--Sigma", "0.7", "--grid", "-2:2:41", "--out", str(out)]
+    for key, value in times.items():
+        argv += [f"--{key}", repr(value)]
+    assert run_cli(argv) == 0
+    values = np.array([row[2] for row in read_csv_table(out).rows]).reshape(41, 41)
+    params = rf.ResolventParams.create(1.3, Sigma=0.7, **times)
+    grid = np.linspace(-2.0, 2.0, 41)
+    for i, u in enumerate(grid):
+        assert np.array_equal(values[i], rf.kernel_grid(params, [u], grid)[0])
+
+
+def test_kernel_grid_evaluates_v_side_once(tmp_path, monkeypatch):
+    counts = {"columns": 0, "airy": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(tacnode.cli, "kernel_columns", counting("columns", rf.kernel_columns))
+    monkeypatch.setattr(rf, "airy_ai_pair", counting("airy", rf.airy_ai_pair))
+    argv = ["kernel", "--lambda", "1.5", "--Sigma", "0.8", "--tau", "0.2", "--grid", "-1:1:7",
+            "--out", str(tmp_path / "k.csv")]
+    assert run_cli(argv) == 0
+    # one Airy call for the v side, one per row
+    assert counts == {"columns": 1, "airy": 1 + 7}
 
 
 def test_identical_invocations_byte_identical(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tacnode.resolvent_form as rf
 from tacnode.airy import airy_ai
 from tacnode.airy_operator import Resolution
 from tacnode.errors import MultiTimeUnsupportedError, TruncationInsufficientError
@@ -107,6 +108,22 @@ def test_phat_decay_limit():
     p1, p2 = phat(p, 0.1, 0.4)
     b0 = b_values(p, 0.1, 0.4, np.array([0.0]))[0]
     assert p2 == pytest.approx(b0, abs=1e-10)
+
+
+def test_profile_sets_make_one_airy_call(skew, monkeypatch):
+    calls = []
+    airy = rf.airy_ai_pair
+
+    def counted(x):
+        calls.append(x)
+        return airy(x)
+
+    monkeypatch.setattr(rf, "airy_ai_pair", counted)
+    phat(skew, skew.tau1, 0.3)
+    assert len(calls) == 1
+    calls.clear()
+    kernel_grid(skew, [-0.5, 0.5], [-1.0, 0.0, 1.0])
+    assert len(calls) == 2  # the u side and the v side
 
 
 def test_phat_symmetric_swap(sym):

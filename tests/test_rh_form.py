@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tacnode.rh_form as rh
 from tacnode.airy_operator import Resolution
 from tacnode.errors import MismatchedParamsError
 from tacnode.resolvent_form import ResolventParams, TailSpec, kernel as fv_kernel, phat
@@ -102,6 +103,23 @@ def test_p_matches_column_sums(sym, skew):
             m = m_top_left(p, z)
             assert g.p1 == pytest.approx(m[0, 0] + m[0, 1], abs=1e-12)
             assert g.p2 == pytest.approx(m[1, 0] + m[1, 1], abs=1e-12)
+
+
+@pytest.mark.parametrize("derivs", [False, True])
+def test_p_vector_makes_one_airy_call(skew, monkeypatch, derivs):
+    calls = []
+    airy = rh.airy_ai_pair
+
+    def counted(x):
+        calls.append(x)
+        return airy(x)
+
+    monkeypatch.setattr(rh, "airy_ai_pair", counted)
+    p_vector(skew, 0.4, derivs=derivs)
+    assert len(calls) == 1
+    calls.clear()
+    m_top_left(skew, 0.4)
+    assert len(calls) == 1
 
 
 def test_p_equivalent_forms(skew):
