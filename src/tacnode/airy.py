@@ -15,7 +15,7 @@ Three branches:
   Over ``|h| <= 0.125`` the local growth factor ``exp(sqrt|c| |h|)`` is at
   most 1.41, so the series neither cancels nor amplifies rounding error.
 * ``x > 7.5`` -- the exponential asymptotic expansion.
-* ``x < -7.5`` -- the modulus/phase asymptotic expansion.
+* ``-1e3 <= x < -7.5`` -- the modulus/phase asymptotic expansion.
 
 The branch point 7.5 is where the optimally truncated asymptotic series
 first reaches ~1e-13 relative accuracy.  The error budget is unchanged from
@@ -24,6 +24,13 @@ relative for x >= 0 and <= 1e-12 absolute on [-15, 0).  The Taylor branch
 stays within a few float64 ulps of mpmath (2.3e-16 relative on [0, 7.5] and
 1.1e-16 absolute on [-7.5, 0) over 3,001 points and every centre and
 midpoint).
+
+Further left the phase ``(2/3)|x|^{3/2} + pi/4`` grows and its rounding
+error with it: against mpmath the error in Ai is 2.7e-13 at -1e3, 3.4e-12
+at -1e4 and 1.4e-9 at -1e6.  The supported range therefore ends at -1e3,
+where Ai is still within the 1e-12 absolute budget; Ai', whose amplitude
+``|x|^{1/4} / sqrt(pi)`` is 3.2 there, errs by 5.7e-12.  A finite
+``x < -1e3`` raises ``UnsupportedRangeError``.
 
 Non-finite inputs raise no warning: ``Ai(+inf) = Ai'(+inf) = 0``,
 ``Ai(-inf) = 0`` (the amplitude decays like ``|x|^{-1/4}``) while
@@ -38,7 +45,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UnsupportedRangeError
+
 _TAYLOR_RADIUS = 7.5
+_LEFT_LIMIT = -1e3
 _CENTRE_STEP = 0.25
 _TAYLOR_TERMS = 22
 _SQRT_PI = 1.7724538509055160273
@@ -217,7 +227,10 @@ def _airy_arrays(x):
     if right.any():
         ai[right], aip[right] = _asymptotic_right(x[right])
     if left.any():
-        ai[left], aip[left] = _asymptotic_left(x[left])
+        xl = x[left]
+        if xl.min() < _LEFT_LIMIT:
+            raise UnsupportedRangeError(f"Airy argument {xl.min()} below the supported minimum {_LEFT_LIMIT}")
+        ai[left], aip[left] = _asymptotic_left(xl)
     if not finite.all():
         ai[np.isinf(x)] = 0.0
         aip[x == np.inf] = 0.0

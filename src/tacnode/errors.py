@@ -10,7 +10,7 @@ class SingularResolventError(TacnodeError):
 
 
 class UnsupportedRangeError(TacnodeError):
-    """Requested shift is outside the supported range of the discretization."""
+    """Requested shift or Airy argument is outside the supported range."""
 
 
 class TruncationInsufficientError(TacnodeError):

@@ -16,6 +16,11 @@ One Airy call serves each profile set: ``_b_pair`` gives ``b_tilde`` and
 ``b`` together.  A kernel grid splits into its v side (``kernel_columns``)
 and its rows (``kernel_rows``), so a grid built row by row evaluates the
 v side once.
+
+The boundary functionals ``phat`` need no smoothing matrix: the smoothed
+boundary row of the resolvent is ``Q`` (see ``AiryResolvent``), so they are
+integrals of the profiles against ``r0`` and ``qvec``.  ``kernel_tail``
+does all shifts of its rule at once, with one Airy call per side.
 """
 
 from __future__ import annotations
@@ -148,13 +153,16 @@ class ResolventParams:
         )
 
 
-def _b_pair(params: ResolventParams, tau: float, z, x):
+def _b_pair(params: ResolventParams, tau: float, z, x, Sigma=None):
     """``(b_tilde, b)`` at the points ``x`` for the shift ``z``, from one Airy call.
 
-    ``z`` and ``x`` broadcast, so a row of shifts against a column of
-    points gives one profile per column.
+    ``z``, ``x`` and ``Sigma`` (``params.Sigma`` unless given) broadcast, so
+    a row of shifts against a column of points gives one profile per
+    column, and a column of ``Sigma`` against a row of points one profile
+    per row.
     """
-    lam, C, Sigma = params.lam, params.C, params.Sigma
+    lam, C = params.lam, params.C
+    Sigma = params.Sigma if Sigma is None else Sigma
     cx = C * x
     yt = -z + cx + math.sqrt(lam) * (Sigma + tau * tau)
     y = z + cx + Sigma + tau * tau
@@ -199,11 +207,27 @@ def script_a_at(params: ResolventParams, tau: float, z: float, x, tilde: bool = 
     return own - factor * (rows @ (ar.weights * other))
 
 
+def _phat_pair(lam: float, w: np.ndarray, r0, qvec, bt, b):
+    """``(phat_1, phat_2)`` from the profiles at 0 and the nodes, without smoothing them.
+
+    The smoothed boundary row of the resolvent is ``Q`` (see
+    ``AiryResolvent``), so each smoothing term is an integral against
+    ``qvec``.  The profiles' last axis runs over 0 and the nodes; ``r0``
+    and ``qvec`` broadcast against the nodes, so stacked rows give one pair
+    per row.
+    """
+    bt0, btn, b0, bn = bt[..., 0], bt[..., 1:], b[..., 0], b[..., 1:]
+    p1 = bt0 + (r0 * btn) @ w - lam ** (-1.0 / 6.0) * ((qvec * bn) @ w)
+    p2 = b0 + (r0 * bn) @ w - lam ** (1.0 / 6.0) * ((qvec * btn) @ w)
+    return p1, p2
+
+
 def phat(params: ResolventParams, tau: float, z: float) -> tuple[float, float]:
     """Boundary functionals ``(phat_1, phat_2)`` driving the rank-2 derivative."""
     ar = params.resolvent
-    a_tilde, a_plain = _script_a_pair(params, tau, z)
-    return ar.apply_r0_values(a_tilde[0], a_tilde[1:]), ar.apply_r0_values(a_plain[0], a_plain[1:])
+    bt, b = _b_pair(params, tau, z, np.concatenate(([0.0], ar.nodes)))
+    p1, p2 = _phat_pair(params.lam, ar.weights, ar.r0, ar.qvec, bt, b)
+    return float(p1), float(p2)
 
 
 def _heat_term(tau1: float, tau2: float, u, v):
@@ -311,19 +335,22 @@ def kernel_tail(params: ResolventParams, u: float, v: float, tail: TailSpec = Ta
     The integral over ``[sigma, infinity)`` is truncated to a span of
     ``tail.S``; superexponential decay of the integrand makes that span
     generous, and a last-node mass check raises
-    ``TruncationInsufficientError`` if it ever is not.
+    ``TruncationInsufficientError`` if it ever is not.  All shifts of the
+    rule are done at once: ``Sigma`` is a column over the shifts, each side's
+    profiles come from one Airy call, and the boundary functionals contract
+    them with the stacked ``r0`` and ``qvec`` rows of the shifts' resolvents.
     """
     rule = affine_map_rule(gauss_legendre_rule(tail.m), params.sigma, params.sigma + tail.S)
     lam = params.lam
-    c2 = params.C ** -2.0
-
-    def integrand(s: float) -> float:
-        ps = params.at_sigma(s)
-        p1u, p2u = phat(ps, ps.tau1, u)
-        p1v, p2v = phat(ps, -ps.tau2, v)
-        return c2 * (lam ** (1.0 / 3.0) * p1u * p1v + lam**-0.5 * p2u * p2v)
-
-    values = np.array([integrand(s) for s in rule.nodes])
+    ars = [get_resolvent(s, params.resolution) for s in rule.nodes]
+    r0 = np.array([ar.r0 for ar in ars])
+    qvec = np.array([ar.qvec for ar in ars])
+    w = params.resolvent.weights
+    x = np.concatenate(([0.0], params.resolvent.nodes))
+    Sigma = interaction_from_sigma(lam, rule.nodes)[:, None]
+    p1u, p2u = _phat_pair(lam, w, r0, qvec, *_b_pair(params, params.tau1, u, x, Sigma))
+    p1v, p2v = _phat_pair(lam, w, r0, qvec, *_b_pair(params, -params.tau2, v, x, Sigma))
+    values = params.C ** -2.0 * (lam ** (1.0 / 3.0) * p1u * p1v + lam**-0.5 * p2u * p2v)
     total = float(rule.weights @ values)
     _check_tail_mass(rule.weights[-1] * values[-1], total, rule.nodes[-1])
     heat = float(np.atleast_1d(_heat_term(params.tau1, params.tau2, u, v))[0])

@@ -11,7 +11,11 @@ the imaginary units are folded into the kernel formula analytically.
 
 One Airy call serves each profile set: ``_profile_pair`` gives the tilde
 and plain profiles with their z-derivatives together, and one product by
-the smoothing matrix smooths them all.
+the smoothing matrix smooths them all where a smoothed profile is needed.
+The ``p`` vector needs none: the smoothed boundary row of the resolvent is
+``Q`` (see ``AiryResolvent``), so ``p1`` and ``p2`` are integrals of the
+profiles against ``r0`` and ``qvec``.  ``kernel_tail`` does all shifts of
+its rule at once, with one Airy call per side.
 
 Parameters: scale factors ``r1, r2 > 0``, endpoint parameters ``s1, s2``,
 time ``tau``; derived constants::
@@ -126,15 +130,19 @@ def _z_derivs(r: float, zsign: float, tau: float, env, arg, ai, aip, order: int)
     return b, db, d2b
 
 
-def _profile_pair(params: RHParams, z: float, x, order: int):
+def _profile_pair(params: RHParams, z: float, x, order: int, s1=None, s2=None):
     """Tilde and plain profiles at ``x`` with ``order`` z-derivatives, from one Airy call.
 
-    Returns two tuples of ``order + 1`` arrays, tilde first.
+    Returns two tuples of ``order + 1`` arrays, tilde first.  The endpoints
+    ``s1``, ``s2`` default to those of ``params``; columns of them against
+    a row of points give one profile per row.
     """
     tau, r1, r2 = params.tau, params.r1, params.r2
+    s1 = params.s1 if s1 is None else s1
+    s2 = params.s2 if s2 is None else s2
     cx = params.C * x
-    arg_t = r1 ** (2.0 / 3.0) * (-z + cx + 2.0 * params.s1 / r1)
-    arg_p = r2 ** (2.0 / 3.0) * (z + cx + 2.0 * params.s2 / r2)
+    arg_t = r1 ** (2.0 / 3.0) * (-z + cx + 2.0 * s1 / r1)
+    arg_p = r2 ** (2.0 / 3.0) * (z + cx + 2.0 * s2 / r2)
     ai, aip = airy_ai_pair(np.stack((arg_t, arg_p)))
     env_t = _SQRT_2PI * r1 ** (1.0 / 6.0) * np.exp(r1**2 * tau * (z - cx))
     env_p = _SQRT_2PI * r2 ** (1.0 / 6.0) * np.exp(-(r2**2) * tau * (z + cx))
@@ -223,6 +231,21 @@ def _ip34(params: RHParams, p1: float, p2: float, dp1: float, dp2: float) -> tup
     return ip3, ip4
 
 
+def _boundary_pair(w: np.ndarray, r0, qvec, D, bt, b):
+    """``(p1, p2)``: ``(I - K)^{-1}(., 0)`` applied to the smoothed profiles, without smoothing them.
+
+    The smoothed boundary row of the resolvent is ``Q`` (see
+    ``AiryResolvent``), so each smoothing term is an integral against
+    ``qvec``.  The profiles' last axis runs over 0 and the nodes; ``r0``
+    and ``qvec`` broadcast against the nodes and ``D`` against the rest, so
+    stacked rows give one pair per row.
+    """
+    bt0, btn, b0, bn = bt[..., 0], bt[..., 1:], b[..., 0], b[..., 1:]
+    p1 = bt0 + (r0 * btn) @ w - ((qvec * bn) @ w) / D
+    p2 = b0 + (r0 * bn) @ w - D * ((qvec * btn) @ w)
+    return p1, p2
+
+
 def p_vector(params: RHParams, z: float, derivs: bool = False) -> PVector:
     """Entries of ``p(z)``: boundary functionals of the smoothed profiles.
 
@@ -231,9 +254,9 @@ def p_vector(params: RHParams, z: float, derivs: bool = False) -> PVector:
     the column ODE system, with all derivatives taken analytically.
     """
     ar = params.resolvent
-    a_tilde, a_plain = _script_a_pair(params, z, 2 if derivs else 1)
-    p1, dp1, *ddp1 = (ar.apply_r0_values(*a) for a in a_tilde)
-    p2, dp2, *ddp2 = (ar.apply_r0_values(*a) for a in a_plain)
+    bt, b = _profile_pair(params, z, np.concatenate(([0.0], ar.nodes)), 2 if derivs else 1)
+    p1s, p2s = _boundary_pair(ar.weights, ar.r0, ar.qvec, params.D, np.array(bt), np.array(b))
+    (p1, dp1, *ddp1), (p2, dp2, *ddp2) = p1s.tolist(), p2s.tolist()
     ip3, ip4 = _ip34(params, p1, p2, dp1, dp2)
     if not derivs:
         return PVector(p1, p2, ip3, ip4, dp1, dp2)
@@ -304,19 +327,29 @@ def kernel_tail(
     tail: TailSpec = TailSpec(),
     resolution: Resolution = Resolution(),
 ) -> float:
-    """RH-form kernel reconstructed by integrating its rank-2 s-derivative."""
+    """RH-form kernel reconstructed by integrating its rank-2 s-derivative.
+
+    All shifts of the rule are done at once: ``s1``, ``s2`` and ``D`` are
+    columns over the shifts, each side's profiles come from one Airy call,
+    and the boundary functionals contract them with the stacked ``r0`` and
+    ``qvec`` rows of the shifts' resolvents.
+    """
     if not (sp.sigma1 > 0 and sp.sigma2 > 0):
         raise ValueError("tail integration requires positive endpoint multipliers")
     rule = affine_map_rule(gauss_legendre_rule(tail.m), sp.s, sp.s + tail.S)
-
-    def integrand(s: float) -> float:
-        pp = sp.at(s).rh_params(r1, r2, tau, resolution)
-        pm = pp.with_tau(-tau)
-        gu = p_vector(pp, u)
-        gv = p_vector(pm, v)
-        return (sp.sigma1 * gu.p1 * gv.p1 + sp.sigma2 * gu.p2 * gv.p2) / math.pi
-
-    values = np.array([integrand(s) for s in rule.nodes])
+    plus = [sp.at(s).rh_params(r1, r2, tau, resolution) for s in rule.nodes]
+    minus = [pp.with_tau(-tau) for pp in plus]
+    r0 = np.array([pp.resolvent.r0 for pp in plus])
+    qvec = np.array([pp.resolvent.qvec for pp in plus])
+    ar = plus[0].resolvent
+    x = np.concatenate(([0.0], ar.nodes))
+    s1 = np.array([pp.s1 for pp in plus])[:, None]
+    s2 = np.array([pp.s2 for pp in plus])[:, None]
+    (btu,), (bu,) = _profile_pair(plus[0], u, x, 0, s1, s2)
+    (btv,), (bv,) = _profile_pair(minus[0], v, x, 0, s1, s2)
+    p1u, p2u = _boundary_pair(ar.weights, r0, qvec, np.array([pp.D for pp in plus]), btu, bu)
+    p1v, p2v = _boundary_pair(ar.weights, r0, qvec, np.array([pm.D for pm in minus]), btv, bv)
+    values = (sp.sigma1 * p1u * p1v + sp.sigma2 * p2u * p2v) / math.pi
     total = float(rule.weights @ values)
     _check_tail_mass(rule.weights[-1] * values[-1], total, rule.nodes[-1])
     return total

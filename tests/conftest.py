@@ -7,7 +7,12 @@ digits), so it never touches the library's own float64 branches.
 
 from __future__ import annotations
 
+import functools
+
+import pytest
 from mpmath import mp
+
+import tacnode.airy_operator as airy_operator
 
 
 def oracle_airy(x, terms: int = 200, dps: int = 60):
@@ -33,3 +38,12 @@ def oracle_airy(x, terms: int = 200, dps: int = 60):
         ai = c1 * f + c2 * g
         aip = c1 * df + c2 * dg
         return float(ai), float(aip)
+
+
+@pytest.fixture
+def fresh_resolvent_cache(monkeypatch):
+    """An empty resolvent cache of the package's size, in place of the shared one for one test."""
+    shared = airy_operator._cached_build
+    cache = functools.lru_cache(maxsize=shared.cache_info().maxsize)(shared.__wrapped__)
+    monkeypatch.setattr(airy_operator, "_cached_build", cache)
+    return cache

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tacnode.airy import _CENTRES, airy_ai, airy_ai_pair, airy_ai_prime
+from tacnode.errors import UnsupportedRangeError
 
 from conftest import oracle_airy
 
@@ -117,3 +118,16 @@ def test_non_finite_inputs():
     assert math.isnan(airy_ai(math.nan))
     assert airy_ai_prime(math.inf) == 0.0
     assert math.isnan(airy_ai_prime(-math.inf))
+
+
+def test_left_branch_ends_at_minus_1e3():
+    # the modulus/phase expansion loses absolute digits with its growing phase;
+    # below -1e3 it would leave the error budget without a warning
+    ai, aip = airy_ai_pair(np.array([-1e3, -500.0, -20.0]))
+    assert np.all(np.isfinite(ai)) and np.all(np.isfinite(aip))
+    for bad in (-1000.5, -1e4, np.array([-3.0, -2e3, 1.0])):
+        with pytest.raises(UnsupportedRangeError):
+            airy_ai_pair(bad)
+    ai, aip = airy_ai_pair(np.array([-np.inf, np.nan, -1e3]))
+    assert ai[0] == 0.0 and np.isnan(aip[0]) and np.isnan(ai[1]) and np.isnan(aip[1])
+    assert (ai[2], aip[2]) == airy_ai_pair(-1e3)

@@ -5,8 +5,9 @@ import pytest
 
 import tacnode.resolvent_form as rf
 from tacnode.airy import airy_ai
-from tacnode.airy_operator import Resolution
+from tacnode.airy_operator import Resolution, get_resolvent
 from tacnode.errors import MultiTimeUnsupportedError, TruncationInsufficientError
+from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
 from tacnode.resolvent_form import (
     ResolventParams,
     TailSpec,
@@ -124,6 +125,58 @@ def test_profile_sets_make_one_airy_call(skew, monkeypatch):
     calls.clear()
     kernel_grid(skew, [-0.5, 0.5], [-1.0, 0.0, 1.0])
     assert len(calls) == 2  # the u side and the v side
+
+
+@pytest.mark.parametrize("sigma, tol", [(-5.5, 1e-11), (-4.0, 1e-13), (-2.0, 1e-13), (0.0, 1e-13),
+                                        (3.0, 1e-13), (8.0, 1e-13), (14.0, 1e-13)])
+def test_phat_equals_boundary_row_of_script_a(sigma, tol):
+    # phat contracts the profiles with r0 and Q; the long route applies r0 to the
+    # smoothed profiles.  The tolerance is relative to the size of the summands of
+    # that application, which the pair can cancel to far below.
+    for lam, tau in ((1.0, 0.3), (2.0, -0.3), (0.7, 0.2), (0.7, -0.2)):
+        p = ResolventParams.create(lam, sigma=sigma, tau=tau)
+        ar = p.resolvent
+        for z in (-1.0, 0.0, 0.7, 1.5):
+            for new, tilde in zip(phat(p, tau, z), (True, False)):
+                a = script_a(p, tau, z, tilde=tilde)
+                scale = abs(a.at0) + ar.weights @ np.abs(ar.r0 * a.values)
+                assert abs(new - ar.apply_r0_values(*a)) <= tol * scale
+
+
+def test_tail_makes_one_airy_call_per_side_and_no_smoothing(fresh_resolvent_cache, monkeypatch):
+    p = ResolventParams.create(1.4, Sigma=0.6, tau1=0.1, tau2=0.35)
+    calls = []
+    airy = rf.airy_ai_pair
+
+    def counted(x):
+        calls.append(x)
+        return airy(x)
+
+    monkeypatch.setattr(rf, "airy_ai_pair", counted)
+    kernel_tail(p, 0.4, -0.3)
+    assert len(calls) == 2  # the u side and the v side, all shifts in each
+    rule = affine_map_rule(gauss_legendre_rule(TailSpec().m), p.sigma, p.sigma + TailSpec().S)
+    misses = fresh_resolvent_cache.cache_info().misses
+    for s in rule.nodes:
+        ar = get_resolvent(s, p.resolution)
+        assert "_smoothing" not in vars(ar) and "_smoothing_prime" not in vars(ar)
+    assert fresh_resolvent_cache.cache_info().misses == misses  # these were the tail's own resolvents
+
+
+@pytest.mark.parametrize("tau1, tau2", [(0.0, 0.0), (0.3, 0.3), (0.1, 0.35), (0.35, -0.1)])
+def test_tail_equals_shift_by_shift_sum(tau1, tau2):
+    p = ResolventParams.create(1.4, Sigma=0.6, tau1=tau1, tau2=tau2)
+    u, v = 0.4, -0.3
+    tail = TailSpec()
+    rule = affine_map_rule(gauss_legendre_rule(tail.m), p.sigma, p.sigma + tail.S)
+    terms = []
+    for s in rule.nodes:
+        ps = p.at_sigma(s)
+        p1u, p2u = phat(ps, ps.tau1, u)
+        p1v, p2v = phat(ps, -ps.tau2, v)
+        terms.append(p.C ** -2.0 * (p.lam ** (1.0 / 3.0) * p1u * p1v + p.lam**-0.5 * p2u * p2v))
+    reference = float(rule.weights @ np.array(terms)) + float(np.atleast_1d(rf._heat_term(tau1, tau2, u, v))[0])
+    assert kernel_tail(p, u, v) == pytest.approx(reference, rel=1e-13)
 
 
 def test_phat_symmetric_swap(sym):

@@ -6,6 +6,7 @@ import pytest
 import tacnode.rh_form as rh
 from tacnode.airy_operator import Resolution
 from tacnode.errors import MismatchedParamsError
+from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
 from tacnode.resolvent_form import ResolventParams, TailSpec, kernel as fv_kernel, phat
 from tacnode.rh_form import (
     RHParams,
@@ -132,6 +133,67 @@ def test_p_equivalent_forms(skew):
         bt0 = b_values(skew, z, np.array([0.0]), tilde=True)[0]
         assert g.p1 == pytest.approx(bt0 - float(ar.weights @ (ar.qvec * a_plain.values)) / skew.D, abs=1e-9)
         assert g.p2 == pytest.approx(b0 - skew.D * float(ar.weights @ (ar.qvec * a_tilde.values)), abs=1e-9)
+
+
+def _at_shift(sigma, tau, r1=1.2, r2=0.9):
+    """RH parameters with equal endpoints ``s1 = s2`` placed so that the shift is ``sigma``."""
+    C = (r1**-2.0 + r2**-2.0) ** (1.0 / 3.0)
+    s = (sigma * C + (r1**2 + r2**2) * tau**2) / (2.0 * (1.0 / r1 + 1.0 / r2))
+    return RHParams.create(r1, r2, s, s, tau)
+
+
+@pytest.mark.parametrize("sigma, tol", [(-5.5, 1e-11), (-4.0, 1e-13), (-2.0, 1e-13), (0.0, 1e-13),
+                                        (3.0, 1e-13), (8.0, 1e-13), (14.0, 1e-13)])
+def test_p_vector_equals_boundary_row_of_script_a(sigma, tol):
+    # p1, p2 contract the profiles with r0 and Q; the long route applies r0 to the
+    # smoothed profiles.  The tolerance is relative to the size of the summands of
+    # that application, which the entries can cancel to far below.
+    for tau in (0.3, -0.3, 0.1, -0.1):
+        p = _at_shift(sigma, tau)
+        assert p.sigma == pytest.approx(sigma, abs=1e-12)
+        ar = p.resolvent
+        for z in (-1.0, 0.0, 0.7, 1.5):
+            g = p_vector(p, z, derivs=True)
+            a_tilde = script_a(p, z, tilde=True, order=1)
+            a_plain = script_a(p, z, order=1)
+            for new, a in zip((g.p1, g.dp1, g.p2, g.dp2), (*a_tilde, *a_plain)):
+                scale = abs(a.at0) + ar.weights @ np.abs(ar.r0 * a.values)
+                assert abs(new - ar.apply_r0_values(*a)) <= tol * scale
+
+
+def test_tail_makes_one_airy_call_per_side_and_no_smoothing(fresh_resolvent_cache, monkeypatch):
+    sp, tau = SParam(0.9, 1.2, 0.45), 0.2
+    calls = []
+    airy = rh.airy_ai_pair
+
+    def counted(x):
+        calls.append(x)
+        return airy(x)
+
+    monkeypatch.setattr(rh, "airy_ai_pair", counted)
+    kernel_tail(sp, 1.1, 0.95, tau, 0.3, -0.4)
+    assert len(calls) == 2  # the u side and the v side, all shifts in each
+    rule = affine_map_rule(gauss_legendre_rule(TailSpec().m), sp.s, sp.s + TailSpec().S)
+    misses = fresh_resolvent_cache.cache_info().misses
+    for s in rule.nodes:
+        ar = sp.at(s).rh_params(1.1, 0.95, tau).resolvent
+        assert "_smoothing" not in vars(ar) and "_smoothing_prime" not in vars(ar)
+    assert fresh_resolvent_cache.cache_info().misses == misses  # these were the tail's own resolvents
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.2, -0.15])
+def test_tail_equals_shift_by_shift_sum(tau):
+    sp, r1, r2, u, v = SParam(0.9, 1.2, 0.45), 1.1, 0.95, 0.3, -0.4
+    tail = TailSpec()
+    rule = affine_map_rule(gauss_legendre_rule(tail.m), sp.s, sp.s + tail.S)
+    terms = []
+    for s in rule.nodes:
+        pp = sp.at(s).rh_params(r1, r2, tau)
+        gu = p_vector(pp, u)
+        gv = p_vector(pp.with_tau(-tau), v)
+        terms.append((sp.sigma1 * gu.p1 * gv.p1 + sp.sigma2 * gu.p2 * gv.p2) / math.pi)
+    reference = float(rule.weights @ np.array(terms))
+    assert kernel_tail(sp, r1, r2, tau, u, v) == pytest.approx(reference, rel=1e-13)
 
 
 def test_m_block_limits_and_symmetry(sym):
