@@ -4,8 +4,9 @@ The operator has kernel ``K_sigma(x, y) = int_0^inf Ai(x+z+sigma) Ai(y+z+sigma) 
 with the closed form ``(Ai(x+sigma) Ai'(y+sigma) - Ai'(x+sigma) Ai(y+sigma)) / (x - y)``.
 Its superexponentially decaying integrands make a single Gauss-Legendre
 panel on (0, T) converge spectrally, so everything downstream (Fredholm
-determinant, resolvent solves, boundary values) is computed from one
-factorization of ``I - W^{1/2} K W^{1/2}``.
+determinant, resolvent solves, boundary values) is computed from the matrix
+``I - W^{1/2} K W^{1/2}`` by NumPy's LAPACK: ``np.linalg.det`` for the
+determinant, ``np.linalg.solve`` for the solves.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .airy import airy_ai_pair
 from .errors import SingularResolventError, TruncationInsufficientError, UnsupportedRangeError
@@ -65,33 +65,28 @@ def airy_kernel_shifted(sigma, x, y):
     return float(k[0]) if scalar else k
 
 
-def _lu_det(a: np.ndarray) -> tuple[tuple, float]:
-    """Pivoted LU factorization ``(lu, piv)`` of ``a`` and its determinant.
-
-    The determinant is the product of the diagonal of ``U``, signed by the
-    parity of the row interchanges.
-    """
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    sign = 1.0 if (piv != np.arange(len(piv))).sum() % 2 == 0 else -1.0
-    return (lu, piv), float(sign * np.prod(np.diag(lu)))
+def _nystrom_system(kmat: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
+    """The read-only matrix ``I - W^{1/2} K W^{1/2}``, shared by every solve of a resolvent."""
+    system = np.eye(len(sqrt_w)) - sqrt_w[:, None] * kmat * sqrt_w[None, :]
+    system.setflags(write=False)
+    return system
 
 
 def symmetrized_determinant(kmat: np.ndarray, weights: np.ndarray) -> float:
-    """det(I - W^{1/2} K W^{1/2}) by pivoted LU factorization."""
-    sqrt_w = np.sqrt(weights)
-    return _lu_det(np.eye(len(weights)) - sqrt_w[:, None] * kmat * sqrt_w[None, :])[1]
+    """det(I - W^{1/2} K W^{1/2}) by ``np.linalg.det``; ``kmat`` need not be symmetric."""
+    return float(np.linalg.det(_nystrom_system(kmat, np.sqrt(weights))))
 
 
 def _kernel_matrix(x: np.ndarray, sigma: float, ai_nodes: np.ndarray, aip_nodes: np.ndarray) -> np.ndarray:
     """``K_sigma(x_i, x_j)`` from ``Ai`` and ``Ai'`` at the shifted nodes ``x + sigma``.
 
-    The divided difference is evaluated once per unordered pair and mirrored,
-    so the matrix is exactly symmetric; the diagonal takes its limit.
+    Swapping ``i`` and ``j`` negates the numerator and ``x_i - x_j`` exactly
+    (the products commute), so the matrix is exactly symmetric; the diagonal
+    takes its limit.
     """
-    iu, ju = np.triu_indices(len(x), k=1)
-    kmat = np.zeros((len(x), len(x)))
-    kmat[iu, ju] = (ai_nodes[iu] * aip_nodes[ju] - aip_nodes[iu] * ai_nodes[ju]) / (x[iu] - x[ju])
-    kmat = kmat + kmat.T
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    kmat = (ai_nodes[:, None] * aip_nodes[None, :] - aip_nodes[:, None] * ai_nodes[None, :]) / dx
     np.fill_diagonal(kmat, aip_nodes * aip_nodes - (x + sigma) * ai_nodes * ai_nodes)
     return kmat
 
@@ -134,7 +129,7 @@ class AiryResolvent:
     aip_nodes: np.ndarray
     ai0: float
     aip0: float
-    _lu: tuple = field(repr=False)
+    _system: np.ndarray = field(repr=False)
     _sqrt_w: np.ndarray = field(repr=False)
 
     @property
@@ -156,11 +151,8 @@ class AiryResolvent:
         ``g`` may be a vector of node values or a matrix of stacked columns.
         """
         g = np.asarray(g, dtype=float)
-        rhs = self._sqrt_w[:, None] * g if g.ndim == 2 else self._sqrt_w * g
-        lu, piv = self._lu
-        # scipy's getrs shifts piv in place while it runs; a private copy keeps concurrent solves apart
-        y = scipy.linalg.lu_solve((lu, piv.copy()), rhs, check_finite=False)
-        return y / self._sqrt_w[:, None] if g.ndim == 2 else y / self._sqrt_w
+        sqrt_w = self._sqrt_w[:, None] if g.ndim == 2 else self._sqrt_w
+        return np.linalg.solve(self._system, sqrt_w * g) / sqrt_w
 
     def apply_r0_values(self, f0: float, fvals: np.ndarray) -> float:
         """``f(0) + sum_i w_i R(x_i, 0) f(x_i)`` from precomputed values."""
@@ -258,17 +250,14 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     ai_nodes, aip_nodes = ai[1:], aip[1:]
     kmat = _kernel_matrix(x, sigma, ai_nodes, aip_nodes)
 
-    lu, det = _lu_det(np.eye(len(x)) - sqrt_w[:, None] * kmat * sqrt_w[None, :])
+    system = _nystrom_system(kmat, sqrt_w)
+    det = float(np.linalg.det(system))
     if det < DET_FLOOR:
         raise SingularResolventError(f"det(I - K) = {det:.3e} at sigma = {sigma} is below {DET_FLOOR}")
 
-    def _solve(g):
-        return scipy.linalg.lu_solve(lu, sqrt_w * g, check_finite=False) / sqrt_w
-
     k0 = (ai_nodes * aip0 - aip_nodes * ai0) / x  # K(x_i, 0); nodes stay away from 0
-    r0 = _solve(k0)
-    qvec = _solve(ai_nodes)
-    pvec = _solve(aip_nodes)
+    rhs = sqrt_w[:, None] * np.column_stack((k0, ai_nodes, aip_nodes))
+    r0, qvec, pvec = (np.linalg.solve(system, rhs) / sqrt_w[:, None]).T.copy()
     # composed exactly like AiryResolvent.extend so q == extension of qvec at 0
     q = float(ai0 + k0 @ (w * qvec))
     p = float(aip0 + k0 @ (w * pvec))
@@ -291,7 +280,7 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
         aip_nodes=aip_nodes,
         ai0=ai0,
         aip0=aip0,
-        _lu=lu,
+        _system=system,
         _sqrt_w=sqrt_w,
     )
     if strict:

@@ -3,7 +3,8 @@
 The probability of seeing no points in ``(a1, a2)`` is the Fredholm
 determinant of the kernel restricted to that interval.  The restricted
 kernel is not symmetric (the process is not time-reversible for nonzero
-times), so the determinant is taken through a pivoted LU factorization.
+times), so the determinant is taken by ``np.linalg.det``, a pivoted LU
+factorization.
 Only finite intervals are supported: toward minus infinity the kernel
 enters the oscillatory regime and does not decay.  Only equal times are
 supported: the two-time kernel restricted to one interval is not the
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .airy_operator import Resolution, _lu_det
+from .airy_operator import Resolution
 from .errors import MultiTimeUnsupportedError
 from .quadrature import affine_map_rule, gauss_legendre_rule
 from .resolvent_form import ResolventParams, kernel_grid
@@ -35,4 +36,4 @@ def gap_probability(params: ResolventParams, a1: float, a2: float, res2: Resolut
         raise ValueError(f"interval endpoints must satisfy a1 < a2, got {a1}, {a2}")
     rule = affine_map_rule(gauss_legendre_rule(res2.m), a1, a2)
     kmat = kernel_grid(params, rule.nodes, rule.nodes)
-    return _lu_det(np.eye(res2.m) - kmat * rule.weights[None, :])[1]
+    return float(np.linalg.det(np.eye(res2.m) - kmat * rule.weights[None, :]))

@@ -20,12 +20,12 @@ import numpy as np
 
 from ._version import __version__
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, Resolution, _kernel_matrix, build_airy_resolvent, get_resolvent
+from .airy_operator import AiryResolvent, Resolution, _kernel_matrix, _nystrom_system, build_airy_resolvent, get_resolvent
 from .errors import CacheInvalidError
 from .quadrature import QuadratureRule
 
 CACHE_ENV = "TACNODE_CACHE_DIR"
-_CACHE_HEADER = "TACNODE-RESOLVENT v1"
+_CACHE_HEADER = "TACNODE-RESOLVENT v2"
 
 
 def fmt(x: float) -> str:
@@ -225,9 +225,7 @@ def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
     u, idx = _take_scalar(lines, idx, "u=")
     v, idx = _take_scalar(lines, idx, "v=")
 
-    # reconstruct the kernel matrix and factorization on the stored grid
-    import scipy.linalg
-
+    # reconstruct the kernel matrix and the linear system on the stored grid
     ai, aip = airy_ai_pair(np.concatenate(([0.0], nodes)) + file_sigma)
     ai0, aip0 = float(ai[0]), float(aip[0])
     ai_nodes, aip_nodes = ai[1:], aip[1:]
@@ -239,8 +237,7 @@ def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
         raise CacheInvalidError(f"cached solution fails its defining equation by {residual:.3e}")
 
     sqrt_w = np.sqrt(weights)
-    s = np.eye(m) - sqrt_w[:, None] * kmat * sqrt_w[None, :]
-    lu = scipy.linalg.lu_factor(s, check_finite=False)
+    system = _nystrom_system(kmat, sqrt_w)
     rule = QuadratureRule(nodes, weights, (0.0, float(file_T)), m)
     return AiryResolvent(
         sigma=file_sigma,
@@ -258,7 +255,7 @@ def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
         aip_nodes=aip_nodes,
         ai0=ai0,
         aip0=aip0,
-        _lu=lu,
+        _system=system,
         _sqrt_w=sqrt_w,
     )
 

@@ -7,6 +7,7 @@ node/weight symmetry is exact in floating point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,10 @@ def _legendre_and_derivative(m: int, t: np.ndarray):
     return p, dp
 
 
+# typed, so that 1.0 or True is rejected even once the rule of order 1 is cached
+@functools.lru_cache(maxsize=8, typed=True)
 def gauss_legendre_rule(m: int) -> QuadratureRule:
-    """Gauss-Legendre rule of order ``m`` on ``(-1, 1)``."""
+    """Gauss-Legendre rule of order ``m`` on ``(-1, 1)``, memoized; its arrays are read-only."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"quadrature order must be an integer, got {m!r}")
     if not 1 <= m <= _MAX_ORDER:

@@ -58,6 +58,21 @@ def test_kernel_matrix_exactly_symmetric():
     assert np.array_equal(ar.kmat, ar.kmat.T)
 
 
+@pytest.mark.parametrize("sigma", [-5.5, -2.0, 0.3, 3.0, 9.0])
+def test_kernel_matrix_matches_per_pair_reference(sigma):
+    ar = get_resolvent(sigma)
+    x, ai, aip = ar.nodes, ar.ai_nodes, ar.aip_nodes
+    m = len(x)
+    ref = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                ref[i, j] = aip[i] * aip[i] - (x[i] + sigma) * ai[i] * ai[i]
+            else:
+                ref[i, j] = (ai[i] * aip[j] - aip[i] * ai[j]) / (x[i] - x[j])
+    assert np.array_equal(airy_operator._kernel_matrix(x, sigma, ai, aip), ref)
+
+
 def test_build_against_high_resolution_oracle():
     oracle = build_airy_resolvent(0.0, Resolution(160, 24.0))
     cross = build_airy_resolvent(0.0, Resolution(220, 28.0))
@@ -228,3 +243,24 @@ def test_resolvent_cache_cap_holds_the_verify_working_set(monkeypatch):
     capped = misses(airy_operator._cached_build.cache_info().maxsize)
     assert capped == misses(None)
     assert misses(36)[1] > capped[1]
+
+
+_NUMPY_ONLY = textwrap.dedent("""
+    import sys
+    import tacnode, tacnode.cli
+    from tacnode.airy_operator import build_airy_resolvent
+    from tacnode.gap import gap_probability
+    from tacnode.resolvent_form import ResolventParams
+
+    build_airy_resolvent(-1.0)
+    gap_probability(ResolventParams.create(1.0, Sigma=1.0, tau=0.0), -0.5, 0.5)
+    print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+""")
+
+
+def test_runs_without_scipy():
+    src = os.path.dirname(os.path.dirname(tacnode.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 from tacnode.airy_operator import Resolution, build_airy_resolvent, get_resolvent
 from tacnode.errors import CacheInvalidError
 from tacnode.io import (
+    _CACHE_HEADER,
     KernelGrid,
     Table,
     cache_resolvent,
@@ -108,7 +109,7 @@ def test_version_mismatch_rejected(tmp_path):
     ar = build_airy_resolvent(0.3, RES)
     path = tmp_path / "r.txt"
     cache_resolvent(ar, path)
-    content = path.read_text().replace("TACNODE-RESOLVENT v1", "TACNODE-RESOLVENT v2", 1)
+    content = path.read_text().replace(_CACHE_HEADER, "TACNODE-RESOLVENT v1", 1)
     path.write_text(content)
     with pytest.raises(CacheInvalidError):
         load_resolvent(0.3, RES, path)

@@ -65,6 +65,14 @@ def test_non_integer_order_rejected():
         gauss_legendre_rule(2.5)
 
 
+def test_memoized_rule_still_rejects_equal_non_integers():
+    assert gauss_legendre_rule(40) is gauss_legendre_rule(40)
+    gauss_legendre_rule(1)
+    for bad in (1.0, True, 40.0):
+        with pytest.raises(ValueError):
+            gauss_legendre_rule(bad)
+
+
 def test_affine_map_single_node():
     rule = affine_map_rule(gauss_legendre_rule(1), 0.0, 2.0)
     assert rule.nodes.tolist() == [1.0]
