@@ -207,15 +207,21 @@ class AiryResolvent:
         """Matrix ``Ai'(x_i + x_j + sigma)``, the x-derivative of the smoothing."""
         return self._smoothing_prime
 
-    def smooth(self, fvals: np.ndarray) -> tuple[float, np.ndarray]:
-        """Airy smoothing ``int_0^inf Ai(. + y + sigma) f(y) dy`` at 0 and the nodes."""
-        wf = self.weights * fvals
-        return float(self.ai_nodes @ wf), self.smoothing @ wf
+    def smooth(self, fvals) -> np.ndarray:
+        """Airy smoothing ``int_0^inf Ai(. + y + sigma) f(y) dy`` at 0 and the nodes, the value at 0 first.
 
-    def smooth_prime(self, fvals: np.ndarray) -> tuple[float, np.ndarray]:
-        """Smoothing with the ``Ai'`` half-kernel, at 0 and the nodes."""
-        wf = self.weights * fvals
-        return float(self.aip_nodes @ wf), self.smoothing_prime @ wf
+        ``fvals`` holds node values: a vector, or stacked columns, each smoothed on its own.
+        """
+        return self._smooth(self.ai_nodes, self.smoothing, fvals)
+
+    def smooth_prime(self, fvals) -> np.ndarray:
+        """Smoothing with the ``Ai'`` half-kernel, returned like :meth:`smooth`."""
+        return self._smooth(self.aip_nodes, self.smoothing_prime, fvals)
+
+    def _smooth(self, at0: np.ndarray, matrix: np.ndarray, fvals) -> np.ndarray:
+        fvals = np.asarray(fvals, dtype=float)
+        wf = (self.weights[:, None] if fvals.ndim == 2 else self.weights) * fvals
+        return np.concatenate(((at0 @ wf)[None], matrix @ wf))
 
     @cached_property
     def resolvent_matrix(self) -> np.ndarray:
@@ -226,6 +232,22 @@ class AiryResolvent:
         """Off-grid resolvent value ``R(x, x_j)`` by Nystrom extension."""
         krow = airy_kernel_shifted(self.sigma, x, self.nodes)
         return float(airy_kernel_shifted(self.sigma, x, self.nodes[j]) + krow @ (self.weights * self.resolvent_matrix[:, j]))
+
+
+def _operator_fields(sigma: float, resolution: Resolution) -> tuple[dict, np.ndarray]:
+    """The :class:`AiryResolvent` keywords fixed by ``(sigma, resolution)``, and the kernel matrix.
+
+    They are the shared ray rule, ``Ai`` and ``Ai'`` at 0 and the shifted nodes from one Airy
+    call, the read-only Nystrom system and ``sqrt_w``; builds and cache loads both start here.
+    """
+    rule = _ray_rule(resolution.m, resolution.T)
+    sqrt_w = np.sqrt(rule.weights)
+    ai, aip = airy_ai_pair(np.concatenate(([0.0], rule.nodes)) + sigma)
+    ai_nodes, aip_nodes = ai[1:], aip[1:]
+    kmat = _kernel_matrix(rule.nodes, sigma, ai_nodes, aip_nodes)
+    op = dict(sigma=sigma, resolution=resolution, rule=rule, ai_nodes=ai_nodes, aip_nodes=aip_nodes,
+              ai0=float(ai[0]), aip0=float(aip[0]), _system=_nystrom_system(kmat, sqrt_w), _sqrt_w=sqrt_w)
+    return op, kmat
 
 
 def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), strict: bool = False) -> AiryResolvent:
@@ -240,17 +262,11 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     sigma = float(sigma)
     if sigma < SIGMA_MIN:
         raise UnsupportedRangeError(f"shift {sigma} below supported minimum {SIGMA_MIN}")
-    rule = _ray_rule(resolution.m, resolution.T)
-    x = rule.nodes
-    w = rule.weights
-    sqrt_w = np.sqrt(w)
+    op, _ = _operator_fields(sigma, resolution)
+    x, w = op["rule"].nodes, op["rule"].weights
+    system, sqrt_w = op["_system"], op["_sqrt_w"]
+    ai0, aip0, ai_nodes, aip_nodes = op["ai0"], op["aip0"], op["ai_nodes"], op["aip_nodes"]
 
-    ai, aip = airy_ai_pair(np.concatenate(([0.0], x)) + sigma)
-    ai0, aip0 = float(ai[0]), float(aip[0])
-    ai_nodes, aip_nodes = ai[1:], aip[1:]
-    kmat = _kernel_matrix(x, sigma, ai_nodes, aip_nodes)
-
-    system = _nystrom_system(kmat, sqrt_w)
     det = float(np.linalg.det(system))
     if det < DET_FLOOR:
         raise SingularResolventError(f"det(I - K) = {det:.3e} at sigma = {sigma} is below {DET_FLOOR}")
@@ -263,26 +279,7 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     p = float(aip0 + k0 @ (w * pvec))
     u = float(w @ (qvec * ai_nodes))
     v = float(w @ (qvec * aip_nodes))
-
-    ar = AiryResolvent(
-        sigma=sigma,
-        resolution=resolution,
-        rule=rule,
-        det=det,
-        r0=r0,
-        qvec=qvec,
-        pvec=pvec,
-        q=q,
-        p=p,
-        u=u,
-        v=v,
-        ai_nodes=ai_nodes,
-        aip_nodes=aip_nodes,
-        ai0=ai0,
-        aip0=aip0,
-        _system=system,
-        _sqrt_w=sqrt_w,
-    )
+    ar = AiryResolvent(**op, det=det, r0=r0, qvec=qvec, pvec=pvec, q=q, p=p, u=u, v=v)
     if strict:
         wide = build_airy_resolvent(sigma, Resolution(resolution.m, resolution.T + 4.0))
         if abs(wide.q - q) > 1e-10 or abs(wide.det - det) > 1e-10:

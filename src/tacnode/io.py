@@ -6,6 +6,10 @@ written into a data section, so identical invocations produce byte-identical
 files.  CSV cells are quoted minimally in the usual CSV style: only a cell
 holding a comma, a double quote or a line break is quoted, so files of plain
 cells carry no quotes at all.
+
+The resolvent cache layout is declared once, in ``_CACHE_LAYOUT``, for both
+writer and reader.  A load takes the operator part of the resolvent from the
+build's own assembly, and rejects nodes or weights not bit-equal to its rule.
 """
 
 from __future__ import annotations
@@ -19,13 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, Resolution, _kernel_matrix, _nystrom_system, build_airy_resolvent, get_resolvent
+from .airy_operator import AiryResolvent, Resolution, _operator_fields, build_airy_resolvent, get_resolvent
 from .errors import CacheInvalidError
-from .quadrature import QuadratureRule
 
 CACHE_ENV = "TACNODE_CACHE_DIR"
 _CACHE_HEADER = "TACNODE-RESOLVENT v2"
+# the resolvent cache file below its header line, in file order: a tag ending in "="
+# is one "tag value" line, a tag ending in ":" heads a block of m values, one a line
+_CACHE_LAYOUT = (
+    "sigma=", "m=", "T=", "nodes:", "weights:", "det=", "r0:", "qvec:", "pvec:", "q=", "p=", "u=", "v=",
+)
 
 
 def fmt(x: float) -> str:
@@ -136,128 +143,64 @@ def read_csv_table(path) -> Table:
 
 
 def cache_resolvent(ar: AiryResolvent, path) -> None:
-    """Serialize a resolvent build to the portable text format."""
-    lines = [
-        _CACHE_HEADER,
-        f"sigma= {fmt(ar.sigma)}",
-        f"m= {ar.resolution.m}",
-        f"T= {fmt(ar.resolution.T)}",
-        "nodes:",
-        *map(fmt, ar.nodes),
-        "weights:",
-        *map(fmt, ar.weights),
-        f"det= {fmt(ar.det)}",
-        "r0:",
-        *map(fmt, ar.r0),
-        "qvec:",
-        *map(fmt, ar.qvec),
-        "pvec:",
-        *map(fmt, ar.pvec),
-        f"q= {fmt(ar.q)}",
-        f"p= {fmt(ar.p)}",
-        f"u= {fmt(ar.u)}",
-        f"v= {fmt(ar.v)}",
-    ]
+    """Serialize a resolvent build to the portable text format of :data:`_CACHE_LAYOUT`."""
+    lines = [_CACHE_HEADER]
+    for tag in _CACHE_LAYOUT:
+        name = tag[:-1]
+        value = getattr(ar.resolution if name in ("m", "T") else ar, name)
+        if tag.endswith(":"):
+            lines += [tag, *map(fmt, value)]
+        else:
+            lines.append(f"{tag} {value if name == 'm' else fmt(value)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _take(lines: list[str], idx: int, tag: str) -> tuple[str, int]:
-    if idx >= len(lines):
-        raise CacheInvalidError(f"cache file truncated before {tag}")
-    return lines[idx], idx + 1
-
-
-def _take_scalar(lines: list[str], idx: int, tag: str) -> tuple[float, int]:
-    line, idx = _take(lines, idx, tag)
-    if not line.startswith(tag):
-        raise CacheInvalidError(f"expected {tag!r}, found {line!r}")
-    try:
-        return float(line[len(tag):]), idx
-    except ValueError as exc:
-        raise CacheInvalidError(f"bad value for {tag!r}: {line!r}") from exc
-
-
-def _take_block(lines: list[str], idx: int, tag: str, count: int) -> tuple[np.ndarray, int]:
-    line, idx = _take(lines, idx, tag)
-    if line != tag:
-        raise CacheInvalidError(f"expected block {tag!r}, found {line!r}")
-    if idx + count > len(lines):
-        raise CacheInvalidError(f"cache file truncated inside {tag!r}")
-    try:
-        values = np.array([float(v) for v in lines[idx:idx + count]])
-    except ValueError as exc:
-        raise CacheInvalidError(f"bad value inside {tag!r}") from exc
-    return values, idx + count
-
-
 def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
-    """Load a cached resolvent, validating the header and one solve residual.
+    """Load a cached resolvent: the build's operator assembly plus the solved values in the file.
 
-    Any mismatch with the requested ``(sigma, resolution)``, malformed
-    content, or a residual above 1e-9 raises ``CacheInvalidError``; callers
-    fall back to a rebuild.
+    ``CacheInvalidError`` (callers then rebuild) is raised for an unreadable file, another header,
+    a wrong tag, truncation or a value that does not parse; for ``sigma``, ``m`` or ``T`` other
+    than requested, or nodes or weights not bit-equal to the rule's, which the loaded resolvent
+    shares with builds; and for a ``qvec`` residual above 1e-9 at a probe node.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CacheInvalidError(f"cannot read cache file {path}") from exc
-    idx = 0
-    line, idx = _take(lines, idx, "header")
-    if line != _CACHE_HEADER:
-        raise CacheInvalidError(f"unsupported cache header {line!r}")
-    file_sigma, idx = _take_scalar(lines, idx, "sigma=")
-    m_val, idx = _take_scalar(lines, idx, "m=")
-    file_T, idx = _take_scalar(lines, idx, "T=")
-    m = int(m_val)
-    if m != resolution.m or file_T != resolution.T or file_sigma != float(sigma):
-        raise CacheInvalidError(
-            f"cache is for sigma={file_sigma}, m={m}, T={file_T}; "
-            f"requested sigma={sigma}, m={resolution.m}, T={resolution.T}"
-        )
-    nodes, idx = _take_block(lines, idx, "nodes:", m)
-    weights, idx = _take_block(lines, idx, "weights:", m)
-    det, idx = _take_scalar(lines, idx, "det=")
-    r0, idx = _take_block(lines, idx, "r0:", m)
-    qvec, idx = _take_block(lines, idx, "qvec:", m)
-    pvec, idx = _take_block(lines, idx, "pvec:", m)
-    q, idx = _take_scalar(lines, idx, "q=")
-    p, idx = _take_scalar(lines, idx, "p=")
-    u, idx = _take_scalar(lines, idx, "u=")
-    v, idx = _take_scalar(lines, idx, "v=")
-
-    # reconstruct the kernel matrix and the linear system on the stored grid
-    ai, aip = airy_ai_pair(np.concatenate(([0.0], nodes)) + file_sigma)
-    ai0, aip0 = float(ai[0]), float(aip[0])
-    ai_nodes, aip_nodes = ai[1:], aip[1:]
-    kmat = _kernel_matrix(nodes, file_sigma, ai_nodes, aip_nodes)
+    if not lines or lines[0] != _CACHE_HEADER:
+        raise CacheInvalidError(f"unsupported cache header {lines[0] if lines else ''!r}")
+    sigma, m = float(sigma), resolution.m
+    op, kmat = _operator_fields(sigma, resolution)
+    w = op["rule"].weights
+    # blocks compare as lists of floats: equal lists hold bit-equal values
+    expected = {"sigma": sigma, "m": m, "T": resolution.T, "nodes": op["rule"].nodes.tolist(), "weights": w.tolist()}
+    solved, idx = {}, 1
+    for tag in _CACHE_LAYOUT:
+        name, block = tag[:-1], tag.endswith(":")
+        if idx >= len(lines):
+            raise CacheInvalidError(f"cache file truncated before {tag!r}")
+        line = lines[idx]
+        if (line != tag) if block else not line.startswith(tag):
+            raise CacheInvalidError(f"expected {tag!r}, found {line!r}")
+        cells = lines[idx + 1:idx + 1 + m] if block else [line[len(tag):]]
+        if block and len(cells) < m:
+            raise CacheInvalidError(f"cache file truncated inside {tag!r}")
+        idx += 1 + (m if block else 0)
+        try:
+            value = [float(c) for c in cells] if block else float(cells[0])
+        except ValueError as exc:
+            raise CacheInvalidError(f"bad value for {tag!r}") from exc
+        if name not in expected:
+            solved[name] = np.array(value) if block else value
+        elif value != expected[name]:
+            raise CacheInvalidError(f"cache {name} does not match the request sigma={sigma}, m={m}, T={resolution.T}")
 
     probe = m // 3
-    residual = qvec[probe] - kmat[probe] @ (weights * qvec) - ai_nodes[probe]
+    qvec = solved["qvec"]
+    residual = qvec[probe] - kmat[probe] @ (w * qvec) - op["ai_nodes"][probe]
     if abs(residual) > 1e-9:
         raise CacheInvalidError(f"cached solution fails its defining equation by {residual:.3e}")
-
-    sqrt_w = np.sqrt(weights)
-    system = _nystrom_system(kmat, sqrt_w)
-    rule = QuadratureRule(nodes, weights, (0.0, float(file_T)), m)
-    return AiryResolvent(
-        sigma=file_sigma,
-        resolution=resolution,
-        rule=rule,
-        det=det,
-        r0=r0,
-        qvec=qvec,
-        pvec=pvec,
-        q=q,
-        p=p,
-        u=u,
-        v=v,
-        ai_nodes=ai_nodes,
-        aip_nodes=aip_nodes,
-        ai0=ai0,
-        aip0=aip0,
-        _system=system,
-        _sqrt_w=sqrt_w,
-    )
+    return AiryResolvent(**op, **solved)
 
 
 def _cache_filename(sigma: float, resolution: Resolution) -> str:

@@ -185,8 +185,7 @@ def _script_a_pair(params: ResolventParams, tau: float, z: float):
     """
     ar = params.resolvent
     bt, b = _b_pair(params, tau, z, np.concatenate(([0.0], ar.nodes)))
-    wf = ar.weights[:, None] * np.column_stack((b[1:], bt[1:]))
-    sm = np.vstack((ar.ai_nodes @ wf, ar.smoothing @ wf))
+    sm = ar.smooth(np.column_stack((b[1:], bt[1:])))
     return bt - params.lam ** (-1.0 / 6.0) * sm[:, 0], b - params.lam ** (1.0 / 6.0) * sm[:, 1]
 
 

@@ -177,8 +177,7 @@ def _smoothed_pair(params: RHParams, z: float, order: int):
     """
     ar = params.resolvent
     bt, b = _profile_pair(params, z, np.concatenate(([0.0], ar.nodes)), order)
-    wf = ar.weights[:, None] * np.column_stack([f[1:] for f in bt + b])
-    sm = np.vstack((ar.ai_nodes @ wf, ar.smoothing @ wf))
+    sm = ar.smooth(np.column_stack([f[1:] for f in bt + b]))
     return bt, b, tuple(sm[:, : order + 1].T), tuple(sm[:, order + 1 :].T)
 
 

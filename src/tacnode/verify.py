@@ -149,8 +149,8 @@ def check_tw(sigmas=DEFAULT_TW_SIGMAS, res: Resolution = Resolution(), tol_scale
 
         # boundary-functional exchange identities with the probe b(x) = exp(-x)
         probe = np.exp(-x)
-        sm0, sm = ar.smooth(probe)
-        exch_q.append(ar.weights @ (ar.qvec * probe) - ar.apply_r0_values(sm0, sm))
+        sm = ar.smooth(probe)
+        exch_q.append(ar.weights @ (ar.qvec * probe) - ar.apply_r0_values(sm[0], sm[1:]))
         exch_r.append(float((ar.weights * ar.qvec) @ ar.smoothing @ (ar.weights * probe))
                       - float(ar.weights @ (ar.r0 * probe)))
     for name, statement, resid in (
@@ -241,8 +241,8 @@ def check_resolvent_kernel(
         for (u, v) in ((0.0, 0.0), (1.0, -1.0)):
             bu = rf.b_values(p, p.tau1, u, ar.nodes)
             bv = rf.b_values(p, -p.tau2, v, ar.nodes)
-            _, s_bu = ar.smooth(bu)
-            _, s_bv = ar.smooth(bv)
+            s_bu = ar.smooth(bu)[1:]
+            s_bv = ar.smooth(bv)[1:]
             lhs = float(w @ (s_bu * ar.solve(s_bv)))
             rhs = float(w @ (bu * ar.solve(bv))) - float(w @ (bu * bv))
             resid.append(lhs - rhs)
@@ -396,13 +396,8 @@ def check_rh_kernel(
             plain_resid.extend(p.r2**-2 * d2b + 2 * p.tau * db - (z + p.C * xs + 2 * p.s2 / p.r2 - p.r2**2 * p.tau**2) * b)
             bt, dbt, d2bt = rh.b_with_derivs(p, z, xs, tilde=True, order=2)
             tilde_resid.extend(p.r1**-2 * d2bt - 2 * p.tau * dbt - (-z + p.C * xs + 2 * p.s1 / p.r1 - p.r1**2 * p.tau**2) * bt)
-            def fd_rich(f):
-                coarse = (f(_H1) - f(-_H1)) / (2 * _H1)
-                fine = (f(_H1 / 2) - f(-_H1 / 2)) / _H1
-                return (4 * fine - coarse) / 3
-
-            fd_x = fd_rich(lambda h: rh.b_values(p, z, xs + h))
-            fd_z = fd_rich(lambda h: rh.b_values(p, z + h, xs))
+            fd_x = _richardson(lambda h: rh.b_values(p, z, xs + h), 0.0, _H1)
+            fd_z = _richardson(lambda h: rh.b_values(p, z + h, xs), 0.0, _H1)
             cross_resid.extend(fd_x - p.C * fd_z)
     reports.append(CheckReport.build(
         "profile_ode_plain", "r2^-2 b'' + 2 tau b' = (z + C x + 2 s2/r2 - r2^2 tau^2) b in z",
@@ -425,7 +420,7 @@ def check_rh_kernel(
             # x-derivative of A: C d/dz b - D * (Ai' smoothing of b_tilde)
             _, db_plain = rh.b_with_derivs(p, z, nodes, order=1)
             bt_nodes = rh.b_values(p, z, nodes, tilde=True)
-            _, smp = ar.smooth_prime(bt_nodes)
+            smp = ar.smooth_prime(bt_nodes)[1:]
             a_x = p.C * db_plain - p.D * smp
             dz_resid.extend(a1.values - (a_x - p.D * ar.ai_nodes * bt0) / p.C)
             rhs = ((z + p.C * nodes + 2 * p.s2 / p.r2 - p.r2**2 * p.tau**2) * a0.values
@@ -664,8 +659,7 @@ def run_suite(name: str = "all", res: Resolution = Resolution(), tol_scale: floa
         reports.extend(check_equivalence(res=res, tol_scale=tol_scale))
     if name in ("compat", "all"):
         reports.extend(check_compat(res=res, tol_scale=tol_scale))
-    # second compat instance: symmetric baseline
-    if name in ("compat", "all"):
+        # second compat instance: symmetric baseline
         reports.extend(
             _rename(r, "sym_") for r in check_compat(1.0, 1.0, SParam(1.0, 1.0, 0.5), 0.0, res, tol_scale)
         )

@@ -135,6 +135,24 @@ def test_nystrom_extension_consistency():
     assert ar.extend(ar.qvec, g, 0.0) == ar.q  # same composition, bit for bit
 
 
+@pytest.mark.parametrize("method", ["smooth", "smooth_prime"])
+def test_smooth_stacked_columns_match_vector_calls(method):
+    ar = get_resolvent(0.3)
+    at0, matrix = (ar.ai_nodes, ar.smoothing) if method == "smooth" else (ar.aip_nodes, ar.smoothing_prime)
+    fvals = np.column_stack((np.exp(-ar.nodes), np.cos(ar.nodes), ar.ai_nodes))
+    stacked = getattr(ar, method)(fvals)
+    assert stacked.shape == (ar.resolution.m + 1, 3)
+    for k in range(3):
+        column = getattr(ar, method)(fvals[:, k])
+        wf = ar.weights * fvals[:, k]
+        # a vector: the value at 0 first, then the nodes, bit for bit as the two products
+        assert column[0] == at0 @ wf
+        assert np.array_equal(column[1:], matrix @ wf)
+        # a matrix-matrix product may sum in another order than a matrix-vector one,
+        # so stacked columns agree with the vector calls to rounding
+        np.testing.assert_allclose(stacked[:, k], column, rtol=0, atol=1e-14)
+
+
 def test_rank_one_determinant_oracle():
     # with kernel phi(x) phi(y), det(I - K) = 1 - int_0^T phi^2 analytically
     rule = affine_map_rule(gauss_legendre_rule(80), 0.0, 16.0)

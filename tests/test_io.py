@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tacnode.airy_operator import Resolution, build_airy_resolvent, get_resolvent
+from tacnode.airy_operator import AiryResolvent, Resolution, build_airy_resolvent, get_resolvent
 from tacnode.errors import CacheInvalidError
 from tacnode.io import (
     _CACHE_HEADER,
@@ -93,6 +94,59 @@ def test_cache_roundtrip_reproduces_scalars(tmp_path):
     g = np.cos(loaded.nodes)
     residual = loaded.solve(g) - loaded.kmat @ (loaded.weights * loaded.solve(g)) - g
     assert np.max(np.abs(residual)) < 1e-12
+    # every field equals a fresh build's, and the rule is the build's own object
+    fresh = build_airy_resolvent(-0.7, RES)
+    assert loaded.rule is fresh.rule
+    for f in dataclasses.fields(AiryResolvent):
+        a, b = getattr(loaded, f.name), getattr(fresh, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+    assert not loaded._system.flags.writeable
+
+
+def _cache_lines(tmp_path, sigma=0.3):
+    path = tmp_path / "r.txt"
+    cache_resolvent(build_airy_resolvent(sigma, RES), path)
+    return path, path.read_text().splitlines()
+
+
+def test_cache_layout_is_pinned(tmp_path):
+    _, lines = _cache_lines(tmp_path)
+    m = RES.m
+    assert len(lines) == 5 * m + 14
+    assert lines[0] == "TACNODE-RESOLVENT v2"
+    skeleton = []
+    for tag in ("sigma=", "m=", "T=", "nodes:", "weights:", "det=", "r0:", "qvec:", "pvec:", "q=", "p=", "u=", "v="):
+        skeleton += [tag, *["value"] * m] if tag.endswith(":") else [tag]
+    # a scalar line reads "tag value"; block values are bare numbers, one a line
+    assert [line.split(" ")[0] if line[0].isalpha() else "value" for line in lines[1:]] == skeleton
+    assert lines[2] == f"m= {m}"
+
+
+@pytest.mark.parametrize("block", ["nodes:", "weights:"])
+def test_cache_rule_off_by_one_ulp_rejected(tmp_path, block):
+    path, lines = _cache_lines(tmp_path)
+    at = lines.index(block) + 1 + 7
+    lines[at] = fmt(np.nextafter(float(lines[at]), np.inf))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheInvalidError):
+        load_resolvent(0.3, RES, path)
+
+
+def test_wrong_block_tag_rejected(tmp_path):
+    path, lines = _cache_lines(tmp_path)
+    lines[lines.index("r0:")] = "rr:"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheInvalidError):
+        load_resolvent(0.3, RES, path)
+
+
+def test_non_numeric_scalar_rejected(tmp_path):
+    path, lines = _cache_lines(tmp_path)
+    det_at = next(i for i, line in enumerate(lines) if line.startswith("det="))
+    lines[det_at] = "det= not-a-number"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheInvalidError):
+        load_resolvent(0.3, RES, path)
 
 
 def test_truncated_cache_rejected(tmp_path):
