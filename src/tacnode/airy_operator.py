@@ -234,22 +234,6 @@ class AiryResolvent:
         return float(airy_kernel_shifted(self.sigma, x, self.nodes[j]) + krow @ (self.weights * self.resolvent_matrix[:, j]))
 
 
-def _operator_fields(sigma: float, resolution: Resolution) -> tuple[dict, np.ndarray]:
-    """The :class:`AiryResolvent` keywords fixed by ``(sigma, resolution)``, and the kernel matrix.
-
-    They are the shared ray rule, ``Ai`` and ``Ai'`` at 0 and the shifted nodes from one Airy
-    call, the read-only Nystrom system and ``sqrt_w``; builds and cache loads both start here.
-    """
-    rule = _ray_rule(resolution.m, resolution.T)
-    sqrt_w = np.sqrt(rule.weights)
-    ai, aip = airy_ai_pair(np.concatenate(([0.0], rule.nodes)) + sigma)
-    ai_nodes, aip_nodes = ai[1:], aip[1:]
-    kmat = _kernel_matrix(rule.nodes, sigma, ai_nodes, aip_nodes)
-    op = dict(sigma=sigma, resolution=resolution, rule=rule, ai_nodes=ai_nodes, aip_nodes=aip_nodes,
-              ai0=float(ai[0]), aip0=float(aip[0]), _system=_nystrom_system(kmat, sqrt_w), _sqrt_w=sqrt_w)
-    return op, kmat
-
-
 def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), strict: bool = False) -> AiryResolvent:
     """Discretize ``(I - K_sigma)^{-1}`` and precompute its derived data.
 
@@ -262,10 +246,12 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     sigma = float(sigma)
     if sigma < SIGMA_MIN:
         raise UnsupportedRangeError(f"shift {sigma} below supported minimum {SIGMA_MIN}")
-    op, _ = _operator_fields(sigma, resolution)
-    x, w = op["rule"].nodes, op["rule"].weights
-    system, sqrt_w = op["_system"], op["_sqrt_w"]
-    ai0, aip0, ai_nodes, aip_nodes = op["ai0"], op["aip0"], op["ai_nodes"], op["aip_nodes"]
+    rule = _ray_rule(resolution.m, resolution.T)
+    x, w = rule.nodes, rule.weights
+    sqrt_w = np.sqrt(w)
+    ai, aip = airy_ai_pair(np.concatenate(([0.0], x)) + sigma)
+    ai0, aip0, ai_nodes, aip_nodes = float(ai[0]), float(aip[0]), ai[1:], aip[1:]
+    system = _nystrom_system(_kernel_matrix(x, sigma, ai_nodes, aip_nodes), sqrt_w)
 
     det = float(np.linalg.det(system))
     if det < DET_FLOOR:
@@ -279,7 +265,9 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     p = float(aip0 + k0 @ (w * pvec))
     u = float(w @ (qvec * ai_nodes))
     v = float(w @ (qvec * aip_nodes))
-    ar = AiryResolvent(**op, det=det, r0=r0, qvec=qvec, pvec=pvec, q=q, p=p, u=u, v=v)
+    ar = AiryResolvent(sigma=sigma, resolution=resolution, rule=rule, det=det, r0=r0, qvec=qvec, pvec=pvec,
+                       q=q, p=p, u=u, v=v, ai_nodes=ai_nodes, aip_nodes=aip_nodes, ai0=ai0, aip0=aip0,
+                       _system=system, _sqrt_w=sqrt_w)
     if strict:
         wide = build_airy_resolvent(sigma, Resolution(resolution.m, resolution.T + 4.0))
         if abs(wide.q - q) > 1e-10 or abs(wide.det - det) > 1e-10:

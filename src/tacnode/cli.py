@@ -144,8 +144,8 @@ def _cmd_tw(args) -> int:
         build_airy_resolvent(float(np.min(args.sigma_grid)), resolution, strict=True)
     rows = []
     for sigma in args.sigma_grid:
-        ar = load_or_build(float(sigma), resolution)
-        rows.append((float(sigma), ar.q, ar.p, ar.u, ar.v, ar.det))
+        q, p, u, v, det = load_or_build(float(sigma), resolution)
+        rows.append((float(sigma), q, p, u, v, det))
     table = Table(("sigma", "q", "p", "u", "v", "det"), rows, {"m": args.m, "T": args.T})
     if args.out:
         write_table(table, args.format, args.out, banner=not args.no_banner)

@@ -1,4 +1,4 @@
-"""Deterministic table output and the portable resolvent cache.
+"""Deterministic table output and the on-disk cache of ``tw`` scalars.
 
 All reals are rendered in scientific notation with 17 significant digits,
 which round-trips float64 exactly; nothing time- or host-dependent is ever
@@ -7,9 +7,11 @@ files.  CSV cells are quoted minimally in the usual CSV style: only a cell
 holding a comma, a double quote or a line break is quoted, so files of plain
 cells carry no quotes at all.
 
-The resolvent cache layout is declared once, in ``_CACHE_LAYOUT``, for both
-writer and reader.  A load takes the operator part of the resolvent from the
-build's own assembly, and rejects nodes or weights not bit-equal to its rule.
+A resolvent cache file (``TACNODE_CACHE_DIR``) holds what ``tacnode tw``
+prints of a resolvent build, one ``tag value`` line each, under the header
+``TACNODE-RESOLVENT v3``: ``sigma=``, ``m=``, ``T=``, ``det=``, ``q=``,
+``p=``, ``u=``, ``v=``, then ``crc32=``, the ``zlib.crc32`` of every line
+above it.  A load parses these lines and makes no Airy call and no solve.
 """
 
 from __future__ import annotations
@@ -17,22 +19,20 @@ from __future__ import annotations
 import csv
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .airy_operator import AiryResolvent, Resolution, _operator_fields, build_airy_resolvent, get_resolvent
+from .airy_operator import Resolution, build_airy_resolvent, get_resolvent
 from .errors import CacheInvalidError
 
 CACHE_ENV = "TACNODE_CACHE_DIR"
-_CACHE_HEADER = "TACNODE-RESOLVENT v2"
-# the resolvent cache file below its header line, in file order: a tag ending in "="
-# is one "tag value" line, a tag ending in ":" heads a block of m values, one a line
-_CACHE_LAYOUT = (
-    "sigma=", "m=", "T=", "nodes:", "weights:", "det=", "r0:", "qvec:", "pvec:", "q=", "p=", "u=", "v=",
-)
+_CACHE_HEADER = "TACNODE-RESOLVENT v3"
+# the cache file's lines between its header and its last line, "crc32= <checksum>", in file order
+_CACHE_TAGS = ("sigma=", "m=", "T=", "det=", "q=", "p=", "u=", "v=")
 
 
 def fmt(x: float) -> str:
@@ -142,26 +142,21 @@ def read_csv_table(path) -> Table:
     return Table(tuple(header), rows, meta)
 
 
-def cache_resolvent(ar: AiryResolvent, path) -> None:
-    """Serialize a resolvent build to the portable text format of :data:`_CACHE_LAYOUT`."""
-    lines = [_CACHE_HEADER]
-    for tag in _CACHE_LAYOUT:
-        name = tag[:-1]
-        value = getattr(ar.resolution if name in ("m", "T") else ar, name)
-        if tag.endswith(":"):
-            lines += [tag, *map(fmt, value)]
-        else:
-            lines.append(f"{tag} {value if name == 'm' else fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def cache_resolvent(ar, path) -> None:
+    """Write the cache file of an :class:`~tacnode.airy_operator.AiryResolvent` build (see the module docstring)."""
+    res = ar.resolution
+    values = (fmt(ar.sigma), res.m, fmt(res.T), fmt(ar.det), fmt(ar.q), fmt(ar.p), fmt(ar.u), fmt(ar.v))
+    text = _CACHE_HEADER + "\n" + "".join(f"{tag} {value}\n" for tag, value in zip(_CACHE_TAGS, values))
+    Path(path).write_text(f"{text}crc32= {zlib.crc32(text.encode())}\n", encoding="utf-8")
 
 
-def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
-    """Load a cached resolvent: the build's operator assembly plus the solved values in the file.
+def load_resolvent(sigma: float, resolution: Resolution, path) -> tuple[float, float, float, float, float]:
+    """``(q, p, u, v, det)`` from a cache file written by :func:`cache_resolvent`.
 
-    ``CacheInvalidError`` (callers then rebuild) is raised for an unreadable file, another header,
-    a wrong tag, truncation or a value that does not parse; for ``sigma``, ``m`` or ``T`` other
-    than requested, or nodes or weights not bit-equal to the rule's, which the loaded resolvent
-    shares with builds; and for a ``qvec`` residual above 1e-9 at a probe node.
+    ``CacheInvalidError`` (callers then rebuild) is raised for an unreadable file, another header
+    (a ``v2`` file among them), a missing, extra or misordered tag line, a value that does not
+    parse, ``sigma``, ``m`` or ``T`` other than requested, and a checksum that does not match the
+    lines above it.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -169,38 +164,23 @@ def load_resolvent(sigma: float, resolution: Resolution, path) -> AiryResolvent:
         raise CacheInvalidError(f"cannot read cache file {path}") from exc
     if not lines or lines[0] != _CACHE_HEADER:
         raise CacheInvalidError(f"unsupported cache header {lines[0] if lines else ''!r}")
-    sigma, m = float(sigma), resolution.m
-    op, kmat = _operator_fields(sigma, resolution)
-    w = op["rule"].weights
-    # blocks compare as lists of floats: equal lists hold bit-equal values
-    expected = {"sigma": sigma, "m": m, "T": resolution.T, "nodes": op["rule"].nodes.tolist(), "weights": w.tolist()}
-    solved, idx = {}, 1
-    for tag in _CACHE_LAYOUT:
-        name, block = tag[:-1], tag.endswith(":")
-        if idx >= len(lines):
-            raise CacheInvalidError(f"cache file truncated before {tag!r}")
-        line = lines[idx]
-        if (line != tag) if block else not line.startswith(tag):
+    tags = (*_CACHE_TAGS, "crc32=")
+    if len(lines) != 1 + len(tags):
+        raise CacheInvalidError(f"cache file has {len(lines)} lines, expected {1 + len(tags)}")
+    values = []
+    for tag, line in zip(tags, lines[1:]):
+        if not line.startswith(tag):
             raise CacheInvalidError(f"expected {tag!r}, found {line!r}")
-        cells = lines[idx + 1:idx + 1 + m] if block else [line[len(tag):]]
-        if block and len(cells) < m:
-            raise CacheInvalidError(f"cache file truncated inside {tag!r}")
-        idx += 1 + (m if block else 0)
         try:
-            value = [float(c) for c in cells] if block else float(cells[0])
+            values.append(float(line[len(tag):]))
         except ValueError as exc:
             raise CacheInvalidError(f"bad value for {tag!r}") from exc
-        if name not in expected:
-            solved[name] = np.array(value) if block else value
-        elif value != expected[name]:
-            raise CacheInvalidError(f"cache {name} does not match the request sigma={sigma}, m={m}, T={resolution.T}")
-
-    probe = m // 3
-    qvec = solved["qvec"]
-    residual = qvec[probe] - kmat[probe] @ (w * qvec) - op["ai_nodes"][probe]
-    if abs(residual) > 1e-9:
-        raise CacheInvalidError(f"cached solution fails its defining equation by {residual:.3e}")
-    return AiryResolvent(**op, **solved)
+    file_sigma, m, T, det, q, p, u, v, crc = values
+    if (file_sigma, m, T) != (float(sigma), resolution.m, resolution.T):
+        raise CacheInvalidError(f"cache file is not for sigma={sigma}, m={resolution.m}, T={resolution.T}")
+    if crc != zlib.crc32("".join(f"{line}\n" for line in lines[:-1]).encode()):
+        raise CacheInvalidError(f"cache file {path} fails its checksum")
+    return q, p, u, v, det
 
 
 def _cache_filename(sigma: float, resolution: Resolution) -> str:
@@ -208,18 +188,24 @@ def _cache_filename(sigma: float, resolution: Resolution) -> str:
     return "resolvent_" + tag.replace("/", "_") + ".txt"
 
 
-def load_or_build(sigma: float, resolution: Resolution = Resolution()) -> AiryResolvent:
-    """Resolvent via the on-disk cache when ``TACNODE_CACHE_DIR`` is set."""
+def load_or_build(sigma: float, resolution: Resolution = Resolution()) -> tuple[float, float, float, float, float]:
+    """The ``tw`` scalars ``(q, p, u, v, det)`` at ``sigma``, via the disk cache when ``TACNODE_CACHE_DIR`` is set.
+
+    With the variable set, a valid cache file is read and nothing is built; a missing or invalid
+    one is replaced by a fresh build's.  Without it the scalars come from the in-memory
+    :func:`~tacnode.airy_operator.get_resolvent`.
+    """
     cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return get_resolvent(sigma, resolution)
-    path = Path(cache_dir) / _cache_filename(sigma, resolution)
-    if path.exists():
-        try:
-            return load_resolvent(sigma, resolution, path)
-        except CacheInvalidError:
-            pass
-    ar = build_airy_resolvent(sigma, resolution)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cache_resolvent(ar, path)
-    return ar
+    if cache_dir:
+        path = Path(cache_dir) / _cache_filename(sigma, resolution)
+        if path.exists():
+            try:
+                return load_resolvent(sigma, resolution, path)
+            except CacheInvalidError:
+                pass
+        ar = build_airy_resolvent(sigma, resolution)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        cache_resolvent(ar, path)
+    else:
+        ar = get_resolvent(sigma, resolution)
+    return ar.q, ar.p, ar.u, ar.v, ar.det

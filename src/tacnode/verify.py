@@ -15,7 +15,7 @@ involved, 1e-5 or 1e-6 with one finite difference, 1e-4 with two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,13 +36,16 @@ class CheckReport:
     statement: str
     max_residual: float
     tolerance: float
-    passed: bool
     points: tuple
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tolerance
 
     @staticmethod
     def build(name: str, statement: str, residuals, tolerance: float, points=()) -> "CheckReport":
         worst = float(np.max(np.abs(np.atleast_1d(np.asarray(residuals, dtype=float)))))
-        return CheckReport(name, statement, worst, float(tolerance), worst <= tolerance, tuple(points))
+        return CheckReport(name, statement, worst, float(tolerance), tuple(points))
 
 
 DEFAULT_TW_SIGMAS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -85,14 +88,14 @@ def _node_pairs(m: int):
     return tuple((i % m, j % m) for i, j in base)[:_PAIR_COUNT]
 
 
-def check_tw(sigmas=DEFAULT_TW_SIGMAS, res: Resolution = Resolution(), tol_scale: float = 1.0) -> list[CheckReport]:
+def check_tw(sigmas=DEFAULT_TW_SIGMAS, res: Resolution = Resolution()) -> list[CheckReport]:
     """Tracy-Widom scalar relations and the resolvent differential identities."""
     reports = []
     scal = {s: get_resolvent(s, res) for s in sigmas}
 
     reports.append(CheckReport.build(
         "tw_painleve_ii", "q'' = sigma*q + 2*q^3 (Hastings-McLeod branch)",
-        [painleve_residual(s, res) for s in sigmas], 1e-5 * tol_scale, sigmas))
+        [painleve_residual(s, res) for s in sigmas], 1e-5, sigmas))
 
     def scalars(s):
         ar = get_resolvent(s, res)
@@ -111,21 +114,21 @@ def check_tw(sigmas=DEFAULT_TW_SIGMAS, res: Resolution = Resolution(), tol_scale
         ("u", "u' = -q^2"),
         ("v", "v' = -p*q"),
     ):
-        reports.append(CheckReport.build(f"tw_system_{key}", statement, sys_resid[key], 1e-6 * tol_scale, sigmas))
+        reports.append(CheckReport.build(f"tw_system_{key}", statement, sys_resid[key], 1e-6, sigmas))
 
     reports.append(CheckReport.build(
         "tw_algebraic", "2*v = u^2 - q^2",
-        [2 * ar.v - (ar.u**2 - ar.q**2) for ar in scal.values()], 1e-9 * tol_scale, sigmas))
+        [2 * ar.v - (ar.u**2 - ar.q**2) for ar in scal.values()], 1e-9, sigmas))
     ham = []
     for s, ar in scal.items():
         dq = ar.p - ar.q * ar.u
         ham.append(ar.u - (dq * dq - s * ar.q**2 - ar.q**4))
     reports.append(CheckReport.build(
-        "tw_hamiltonian", "u = (q')^2 - sigma*q^2 - q^4", ham, 1e-8 * tol_scale, sigmas))
+        "tw_hamiltonian", "u = (q')^2 - sigma*q^2 - q^4", ham, 1e-8, sigmas))
     reports.append(CheckReport.build(
         "tw_v_two_ways", "int Q*Ai' = int P*Ai",
         [ar.weights @ (ar.qvec * ar.aip_nodes) - ar.weights @ (ar.pvec * ar.ai_nodes) for ar in scal.values()],
-        1e-9 * tol_scale, sigmas))
+        1e-9, sigmas))
 
     # resolvent differential identities on fixed node pairs, at each shift
     pairs = _node_pairs(res.m)
@@ -159,13 +162,13 @@ def check_tw(sigmas=DEFAULT_TW_SIGMAS, res: Resolution = Resolution(), tol_scale
         ("resolvent_pde_q", "Q'(x) = P(x) + q R(x,0) - u Q(x)", qx),
         ("resolvent_pde_p", "P'(x) = (x + sigma - 2v) Q(x) + p R(x,0) + u P(x)", px),
     ):
-        reports.append(CheckReport.build(name, statement, resid, 1e-5 * tol_scale, pairs))
+        reports.append(CheckReport.build(name, statement, resid, 1e-5, pairs))
     reports.append(CheckReport.build(
         "exchange_q_form", "int Q b = (I + R)(., 0) applied to the Airy smoothing of b",
-        exch_q, 1e-9 * tol_scale, sigmas))
+        exch_q, 1e-9, sigmas))
     reports.append(CheckReport.build(
         "exchange_r_form", "int int Q(x) Ai(x+y+sigma) b(y) = int R(x,0) b(x)",
-        exch_r, 1e-9 * tol_scale, sigmas))
+        exch_r, 1e-9, sigmas))
     return reports
 
 
@@ -178,7 +181,6 @@ def check_resolvent_kernel(
     paramsets=DEFAULT_RESOLVENT_SETS,
     points=DEFAULT_POINTS,
     res: Resolution = Resolution(),
-    tol_scale: float = 1.0,
 ) -> list[CheckReport]:
     """Identities of the Airy-resolvent kernel form."""
     reports = []
@@ -194,7 +196,7 @@ def check_resolvent_kernel(
             resid.append((an - fd) / an)
     reports.append(CheckReport.build(
         "rank2_derivative_fd", "d/dsigma kernel = -C^-2 (lam^(1/3) phat1 phat1 + lam^(-1/2) phat2 phat2)",
-        resid, 1e-5 * tol_scale, paramsets))
+        resid, 1e-5, paramsets))
 
     resid = []
     for p in params:
@@ -211,28 +213,28 @@ def check_resolvent_kernel(
                 resid.extend([p1 - p1q, p2 - p2q])
     reports.append(CheckReport.build(
         "phat_equivalent_forms", "resolvent and Q-integral expressions of phat agree",
-        resid, 1e-9 * tol_scale, points))
+        resid, 1e-9, points))
 
     sym = next((p for p in single if p.lam == 1.0), None)
     if sym is not None:
         resid = [rf.phat(sym, sym.tau1, z)[0] - rf.phat(sym, sym.tau1, -z)[1] for z in points]
         reports.append(CheckReport.build(
-            "phat_symmetric_swap", "lam = 1: phat1(z) = phat2(-z)", resid, 1e-12 * tol_scale, points))
+            "phat_symmetric_swap", "lam = 1: phat1(z) = phat2(-z)", resid, 1e-12, points))
         resid = []
         for tau, z in ((sym.tau1, 0.3), (0.2, -0.7)):
             bt = rf.b_values(sym, tau, z, sym.resolvent.nodes, tilde=True)
             bm = rf.b_values(sym, tau, -z, sym.resolvent.nodes)
             resid.append(np.max(np.abs(bt - bm)))
         reports.append(CheckReport.build(
-            "profile_symmetric_swap", "lam = 1: b_tilde(tau, z) = b(tau, -z)", resid, 1e-13 * tol_scale, points))
+            "profile_symmetric_swap", "lam = 1: b_tilde(tau, z) = b(tau, -z)", resid, 1e-13, points))
         resid = [rf.kernel(sym, u, v) - rf.kernel(sym, -u, -v) for u, v in pts]
         reports.append(CheckReport.build(
-            "kernel_reflection", "lam = 1: kernel(u, v) = kernel(-u, -v)", resid, 1e-9 * tol_scale, pts))
+            "kernel_reflection", "lam = 1: kernel(u, v) = kernel(-u, -v)", resid, 1e-9, pts))
 
     resid = [rf.kernel_six_term(p, u, v) - rf.kernel(p, u, v) for p in single for u, v in pts]
     reports.append(CheckReport.build(
         "six_term_vs_compact", "six-term kernel expression equals the compact two-term form",
-        resid, 1e-8 * tol_scale, pts))
+        resid, 1e-8, pts))
 
     resid = []
     for p in single:
@@ -249,7 +251,7 @@ def check_resolvent_kernel(
     reports.append(CheckReport.build(
         "smoothing_square_rewrite",
         "(I-K)^-1 against smoothed profiles equals its unsmoothed form minus the plain overlap",
-        resid, 1e-9 * tol_scale, paramsets))
+        resid, 1e-9, paramsets))
 
     resid = []
     pts5 = [(u, v) for u in np.linspace(-1, 1, 5) for v in np.linspace(-1, 1, 5)]
@@ -258,7 +260,7 @@ def check_resolvent_kernel(
         resid.extend(rf.kernel(p, u, v) - rf.kernel(mirrored, v, u) for u, v in pts5)
     reports.append(CheckReport.build(
         "kernel_time_symmetry", "kernel(u, v; tau1, tau2) = kernel(v, u; -tau2, -tau1)",
-        resid, 1e-10 * tol_scale, paramsets))
+        resid, 1e-10, paramsets))
 
     multi = [p for p in params if not p.single_time]
     resid = []
@@ -276,7 +278,7 @@ def check_resolvent_kernel(
             resid.append(rf.kernel(p, u, v) - smooth_part - heat)
     reports.append(CheckReport.build(
         "heat_term_presence", "backward heat term enters exactly when tau1 < tau2",
-        resid, 1e-12 * tol_scale, paramsets))
+        resid, 1e-12, paramsets))
 
     resid = []
     for p in params:
@@ -285,12 +287,12 @@ def check_resolvent_kernel(
         resid.append(sv[2] / sv[0])
     reports.append(CheckReport.build(
         "rank2_structure", "sampled kernel shift-derivative has numerical rank 2",
-        resid, 1e-8 * tol_scale, points))
+        resid, 1e-8, points))
 
     resid = [rf.kernel_tail(p, 0.5, -0.5) - rf.kernel(p, 0.5, -0.5) for p in params]
     reports.append(CheckReport.build(
         "tail_integral_vs_kernel", "integrating the rank-2 derivative over the shift recovers the kernel",
-        resid, 1e-6 * tol_scale, paramsets))
+        resid, 1e-6, paramsets))
 
     # shift/space differential identity of the smoothed profile, by finite differences
     resid = []
@@ -307,7 +309,7 @@ def check_resolvent_kernel(
     reports.append(CheckReport.build(
         "smoothed_profile_shift_identity",
         "(1 + lam^-1/2) d/dsigma A = lam^-1/2 d/dx A + lam^(1/6) Ai(x+sigma) b_tilde(0)",
-        resid, 1e-5 * tol_scale, (0.4, 1.3)))
+        resid, 1e-5, (0.4, 1.3)))
 
     decay = ResolventParams.create(1.0, Sigma=20.0, tau=0.0, resolution=res)
     a_dec = rf.script_a(decay, 0.0, 0.3)
@@ -316,7 +318,7 @@ def check_resolvent_kernel(
         "strong_interaction_decay",
         "Sigma = 20: kernel, its derivative, and the smoothing correction all vanish",
         [rf.kernel(decay, 0.0, 0.0), rf.kernel_dsigma(decay, 0.0, 0.0), np.max(np.abs(a_dec.values - b_dec))],
-        1e-10 * tol_scale, ((0.0, 0.0),)))
+        1e-10, ((0.0, 0.0),)))
     return reports
 
 
@@ -329,7 +331,6 @@ def check_rh_kernel(
     paramsets=DEFAULT_RH_SETS,
     zs=DEFAULT_POINTS,
     res: Resolution = Resolution(),
-    tol_scale: float = 1.0,
 ) -> list[CheckReport]:
     """Identities of the Riemann-Hilbert kernel form."""
     reports = []
@@ -343,7 +344,7 @@ def check_rh_kernel(
             resid.extend([g.p1 - (m[0, 0] + m[0, 1]), g.p2 - (m[1, 0] + m[1, 1])])
     reports.append(CheckReport.build(
         "p_column_sum", "p equals the sum of the first two columns of the RH block",
-        resid, 1e-12 * tol_scale, zs))
+        resid, 1e-12, zs))
 
     r1_resid, r2_resid = [], []
     for p in params:
@@ -366,10 +367,10 @@ def check_rh_kernel(
             r2_resid.append(lhs2 - rhs2)
     reports.append(CheckReport.build(
         "p_ode_first", "r1^-2 p1'' = 2 tau p1' + C^2 D^-1 q p2' + [C q^2 - z + 2 s1/r1 - r1^2 tau^2] p1 - C D^-1 q' p2",
-        r1_resid, 1e-5 * tol_scale, zs))
+        r1_resid, 1e-5, zs))
     reports.append(CheckReport.build(
         "p_ode_second", "r2^-2 p2'' = -C^2 D q p1' - 2 tau p2' + [C q^2 + z + 2 s2/r2 - r2^2 tau^2] p2 - C D q' p1",
-        r2_resid, 1e-5 * tol_scale, zs))
+        r2_resid, 1e-5, zs))
 
     resid = []
     for p in params:
@@ -386,7 +387,7 @@ def check_rh_kernel(
             resid.append(lhs - rhs)
     reports.append(CheckReport.build(
         "m_column_ode", "the first RH column satisfies the same second-order system as p",
-        resid, 1e-5 * tol_scale, zs))
+        resid, 1e-5, zs))
 
     xs = np.array([0.2, 0.9, 2.1])
     plain_resid, tilde_resid, cross_resid = [], [], []
@@ -401,12 +402,12 @@ def check_rh_kernel(
             cross_resid.extend(fd_x - p.C * fd_z)
     reports.append(CheckReport.build(
         "profile_ode_plain", "r2^-2 b'' + 2 tau b' = (z + C x + 2 s2/r2 - r2^2 tau^2) b in z",
-        plain_resid, 1e-6 * tol_scale, zs))
+        plain_resid, 1e-6, zs))
     reports.append(CheckReport.build(
         "profile_ode_tilde", "r1^-2 bt'' - 2 tau bt' = (-z + C x + 2 s1/r1 - r1^2 tau^2) bt in z",
-        tilde_resid, 1e-6 * tol_scale, zs))
+        tilde_resid, 1e-6, zs))
     reports.append(CheckReport.build(
-        "profile_x_vs_z", "d/dx b = C d/dz b", cross_resid, 1e-8 * tol_scale, zs))
+        "profile_x_vs_z", "d/dx b = C d/dz b", cross_resid, 1e-8, zs))
 
     dz_resid, dzz_resid = [], []
     for p in params:
@@ -428,11 +429,11 @@ def check_rh_kernel(
             dzz_resid.extend(p.r2**-2 * a2.values + 2 * p.tau * a1.values - rhs)
     reports.append(CheckReport.build(
         "smoothed_profile_dz", "d/dz A = C^-1 (d/dx A - D Ai(x+sigma) b_tilde(0))",
-        dz_resid, 1e-6 * tol_scale, zs))
+        dz_resid, 1e-6, zs))
     reports.append(CheckReport.build(
         "smoothed_profile_dzz",
         "r2^-2 d2/dz2 A + 2 tau d/dz A = (z + C x + 2 s2/r2 - r2^2 tau^2) A + C D (Ai bt'(0) - Ai' bt(0))",
-        dzz_resid, 1e-5 * tol_scale, zs))
+        dzz_resid, 1e-5, zs))
 
     resid = []
     for p in params:
@@ -448,7 +449,7 @@ def check_rh_kernel(
             resid.extend([g.p1 - p1q, g.p2 - p2q])
     reports.append(CheckReport.build(
         "p_equivalent_forms", "resolvent and Q-integral expressions of p agree",
-        resid, 1e-9 * tol_scale, zs))
+        resid, 1e-9, zs))
 
     resid = []
     for lam, Sigma, tau in ((1.0, 1.0, 0.0), (2.0, 0.5, 0.3)):
@@ -462,7 +463,7 @@ def check_rh_kernel(
             resid.extend([g.p1 / (c1 * h1) - 1.0, g.p2 / (c2 * h2) - 1.0])
     reports.append(CheckReport.build(
         "p_phat_scaling", "p_j = sqrt(2 pi) r_j^(1/6) exp(r_j^4 tau (Sigma + 2 tau^2/3)) phat_j",
-        resid, 1e-9 * tol_scale, zs))
+        resid, 1e-9, zs))
 
     sym = params[0]
     if sym.r1 == sym.r2 and sym.s1 == sym.s2 and sym.tau == 0.0:
@@ -471,13 +472,13 @@ def check_rh_kernel(
         bt = rh.b_values(sym, 0.0, np.array([0.0, 0.7]), tilde=True)
         reports.append(CheckReport.build(
             "symmetric_degeneracy", "symmetric case at z = 0: M11 = M22, M12 = M21, b = b_tilde",
-            [m[0, 0] - m[1, 1], m[0, 1] - m[1, 0], *(b - bt)], 1e-12 * tol_scale, (0.0,)))
+            [m[0, 0] - m[1, 1], m[0, 1] - m[1, 0], *(b - bt)], 1e-12, (0.0,)))
         minus = sym.with_tau(-sym.tau)
         resid = [rh.kernel_direct(sym, minus, u, v) - rh.kernel_direct(sym, minus, v, u)
                  for u in (0.0, 1.0) for v in (-1.0, 0.5)]
         reports.append(CheckReport.build(
             "rh_kernel_symmetry", "tau = 0 symmetric case: K(u, v) = K(v, u)",
-            resid, 1e-9 * tol_scale, (0.0, 1.0)))
+            resid, 1e-9, (0.0, 1.0)))
 
     resid = []
     for p in params:
@@ -489,7 +490,7 @@ def check_rh_kernel(
         resid.append(sv[2] / sv[0])
     reports.append(CheckReport.build(
         "rh_rank2_structure", "sampled s-derivative of the RH kernel has numerical rank 2",
-        resid, 1e-8 * tol_scale, DEFAULT_POINTS))
+        resid, 1e-8, DEFAULT_POINTS))
 
     sp = SParam(1.0, 1.0, 0.5)
     pp = sp.rh_params(1.0, 1.0, 0.0, res)
@@ -498,7 +499,7 @@ def check_rh_kernel(
     direct_val = rh.kernel_direct(pp, pm, 0.0, 1.0)
     reports.append(CheckReport.build(
         "rh_tail_vs_direct", "integrated rank-2 derivative recovers the RH kernel",
-        [tail_val - direct_val], 1e-5 * tol_scale, ((0.0, 1.0),)))
+        [tail_val - direct_val], 1e-5, ((0.0, 1.0),)))
 
     def tail_of_s(s):
         return rh.kernel_tail(sp.at(s), 1.0, 1.0, 0.0, 0.0, 1.0, resolution=res)
@@ -508,7 +509,7 @@ def check_rh_kernel(
     expected = -(gu.p1 * gv.p1 + gu.p2 * gv.p2) / math.pi
     reports.append(CheckReport.build(
         "rh_tail_lower_limit_derivative", "d/ds of the tail integral at its lower limit is the rank-2 integrand",
-        [_central(tail_of_s, 0.5, _H1) - expected], 1e-6 * tol_scale, (0.5,)))
+        [_central(tail_of_s, 0.5, _H1) - expected], 1e-6, (0.5,)))
     return reports
 
 
@@ -518,7 +519,6 @@ def check_equivalence(
     taus=None,
     points=DEFAULT_POINTS,
     res: Resolution = Resolution(),
-    tol_scale: float = 1.0,
     tail: TailSpec = TailSpec(),
 ) -> list[CheckReport]:
     """The central claim: both kernel forms give the same function."""
@@ -541,10 +541,10 @@ def check_equivalence(
         tag = f"lam={lam:g}_Sigma={Sigma:g}_tau={tau:g}"
         reports.append(CheckReport.build(
             f"kernel_equivalence_{tag}", "resolvent-form kernel equals the RH-form kernel",
-            direct_resid, 1e-5 * tol_scale, tuple((u, v) for u in points for v in points)))
+            direct_resid, 1e-5, tuple((u, v) for u in points for v in points)))
         reports.append(CheckReport.build(
             f"kernel_tail_equivalence_{tag}", "resolvent-form kernel equals its tail-integrated reconstruction",
-            tail_resid, 1e-5 * tol_scale, tuple((u, v) for u in points for v in points)))
+            tail_resid, 1e-5, tuple((u, v) for u in points for v in points)))
 
     pf = ResolventParams.create(1.0, Sigma=20.0, tau=0.0, resolution=res)
     pp = rh.from_resolvent_params(1.0, 20.0, 0.0, res)
@@ -553,7 +553,7 @@ def check_equivalence(
     kval = rh.kernel_direct(pp, pm, 0.0, 0.0)
     reports.append(CheckReport.build(
         "kernel_mutual_decay", "Sigma = 20: both kernel forms vanish together",
-        [lval / 1e-10, kval / 1e-10, (lval - kval) / 1e-12], 1.0 * tol_scale, ((0.0, 0.0),)))
+        [lval / 1e-10, kval / 1e-10, (lval - kval) / 1e-12], 1.0, ((0.0, 0.0),)))
     return reports
 
 
@@ -563,7 +563,6 @@ def check_compat(
     sp: SParam = SParam(1.3, 0.8, 0.4),
     tau: float = 0.3,
     res: Resolution = Resolution(),
-    tol_scale: float = 1.0,
 ) -> list[CheckReport]:
     """Residue-matrix identities: exact algebra, flow equations, swap symmetry."""
     reports = []
@@ -576,7 +575,7 @@ def check_compat(
     reports.append(CheckReport.build(
         "residue_exact_relation", "r2 (ct d - b) - r1 (c d - betat) + (r1^2 + r2^2) tau d = 0",
         [r2 * (e.c_tilde * e.d - e.b) - r1 * (e.c * e.d - e.beta_tilde) + rr * tau * e.d],
-        1e-10 * tol_scale, (sp.s,)))
+        1e-10, (sp.s,)))
 
     s = sp.s
     mix = sp.sigma1 * r2 + sp.sigma2 * r1
@@ -592,7 +591,7 @@ def check_compat(
     ]
     reports.append(CheckReport.build(
         "residue_s_flow", "endpoint-flow equations for d, d_tilde, c, c_tilde",
-        s_resid, 1e-5 * tol_scale, (s,)))
+        s_resid, 1e-5, (s,)))
 
     c_t = _central(lambda t: entries(s, t).c, tau, _H1)
     d_t = _central(lambda t: entries(s, t).d, tau, _H1)
@@ -604,7 +603,7 @@ def check_compat(
     ]
     reports.append(CheckReport.build(
         "residue_tau_flow", "time-flow equations for c and d",
-        tau_resid, 1e-5 * tol_scale, (tau,)))
+        tau_resid, 1e-5, (tau,)))
 
     dd = _five_point_second(lambda t: entries(t).d, s, _H2)
     ddt = _five_point_second(lambda t: entries(t).d_tilde, s, _H2)
@@ -618,14 +617,14 @@ def check_compat(
     ]
     reports.append(CheckReport.build(
         "residue_coupled_second_order", "d and d_tilde solve the coupled Painleve-II-type system in s",
-        pii_resid, 1e-4 * tol_scale, (s,)))
+        pii_resid, 1e-4, (s,)))
 
     mixed = d_t - (-r1 * r2 * rr / mix * tau * d_s
                    + rr**2 * (sp.sigma1 * r2 - sp.sigma2 * r1) / mix * tau**2 * e.d
                    + 2 * (r1 * s1 - r2 * sp.sigma2 * s) * e.d)
     reports.append(CheckReport.build(
         "residue_mixed_flow", "time derivative of d expressed through its endpoint derivative",
-        [mixed], 1e-5 * tol_scale, (s, tau)))
+        [mixed], 1e-5, (s, tau)))
 
     swapped = rh.residue_matrix(RHParams.create(r2, r1, sp.sigma2 * s, sp.sigma1 * s, tau, res))
     swap_resid = [
@@ -637,7 +636,7 @@ def check_compat(
     ]
     reports.append(CheckReport.build(
         "residue_swap_symmetry", "every entry swaps with its tilde partner under (r1, s1) <-> (r2, s2)",
-        swap_resid, 1e-12 * tol_scale, (s, tau)))
+        swap_resid, 1e-12, (s, tau)))
     return reports
 
 
@@ -645,30 +644,23 @@ SUITES = ("tw", "resolvent", "rh", "equivalence", "compat")
 
 
 def run_suite(name: str = "all", res: Resolution = Resolution(), tol_scale: float = 1.0) -> list[CheckReport]:
-    """Run one named suite (or all of them) with the default parameter sets."""
+    """Run one named suite (or all of them) with the default parameter sets, each tolerance times ``tol_scale``."""
     if name not in SUITES and name != "all":
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    reports = []
+    reports, sym = [], []
     if name in ("tw", "all"):
-        reports.extend(check_tw(res=res, tol_scale=tol_scale))
+        reports.extend(check_tw(res=res))
     if name in ("resolvent", "all"):
-        reports.extend(check_resolvent_kernel(res=res, tol_scale=tol_scale))
+        reports.extend(check_resolvent_kernel(res=res))
     if name in ("rh", "all"):
-        reports.extend(check_rh_kernel(res=res, tol_scale=tol_scale))
+        reports.extend(check_rh_kernel(res=res))
     if name in ("equivalence", "all"):
-        reports.extend(check_equivalence(res=res, tol_scale=tol_scale))
+        reports.extend(check_equivalence(res=res))
     if name in ("compat", "all"):
-        reports.extend(check_compat(res=res, tol_scale=tol_scale))
-        # second compat instance: symmetric baseline
-        reports.extend(
-            _rename(r, "sym_") for r in check_compat(1.0, 1.0, SParam(1.0, 1.0, 0.5), 0.0, res, tol_scale)
-        )
-    return reports
-
-
-def _rename(report: CheckReport, prefix: str) -> CheckReport:
-    return CheckReport(prefix + report.name, report.statement, report.max_residual,
-                       report.tolerance, report.passed, report.points)
+        reports.extend(check_compat(res=res))
+        sym = check_compat(1.0, 1.0, SParam(1.0, 1.0, 0.5), 0.0, res)  # second compat instance: symmetric baseline
+    return [replace(r, name=prefix + r.name, tolerance=r.tolerance * tol_scale)
+            for prefix, batch in (("", reports), ("sym_", sym)) for r in batch]
 
 
 def coverage_manifest(reports: list[CheckReport] | None = None) -> dict[str, str]:

@@ -1,10 +1,12 @@
-import dataclasses
 import json
+import sys
+import zlib
 
 import numpy as np
 import pytest
 
-from tacnode.airy_operator import AiryResolvent, Resolution, build_airy_resolvent, get_resolvent
+from tacnode.airy_operator import Resolution, build_airy_resolvent, get_resolvent
+from tacnode.cli import run_cli
 from tacnode.errors import CacheInvalidError
 from tacnode.io import (
     _CACHE_HEADER,
@@ -85,22 +87,7 @@ def test_cache_roundtrip_reproduces_scalars(tmp_path):
     ar = build_airy_resolvent(-0.7, RES)
     path = tmp_path / "r.txt"
     cache_resolvent(ar, path)
-    loaded = load_resolvent(-0.7, RES, path)
-    assert loaded.q == ar.q
-    assert loaded.det == ar.det
-    assert np.array_equal(loaded.r0, ar.r0)
-    assert np.array_equal(loaded.qvec, ar.qvec)
-    # loaded object is a working resolvent
-    g = np.cos(loaded.nodes)
-    residual = loaded.solve(g) - loaded.kmat @ (loaded.weights * loaded.solve(g)) - g
-    assert np.max(np.abs(residual)) < 1e-12
-    # every field equals a fresh build's, and the rule is the build's own object
-    fresh = build_airy_resolvent(-0.7, RES)
-    assert loaded.rule is fresh.rule
-    for f in dataclasses.fields(AiryResolvent):
-        a, b = getattr(loaded, f.name), getattr(fresh, f.name)
-        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
-    assert not loaded._system.flags.writeable
+    assert load_resolvent(-0.7, RES, path) == (ar.q, ar.p, ar.u, ar.v, ar.det)
 
 
 def _cache_lines(tmp_path, sigma=0.3):
@@ -109,34 +96,48 @@ def _cache_lines(tmp_path, sigma=0.3):
     return path, path.read_text().splitlines()
 
 
-def test_cache_layout_is_pinned(tmp_path):
-    _, lines = _cache_lines(tmp_path)
-    m = RES.m
-    assert len(lines) == 5 * m + 14
-    assert lines[0] == "TACNODE-RESOLVENT v2"
-    skeleton = []
-    for tag in ("sigma=", "m=", "T=", "nodes:", "weights:", "det=", "r0:", "qvec:", "pvec:", "q=", "p=", "u=", "v="):
-        skeleton += [tag, *["value"] * m] if tag.endswith(":") else [tag]
-    # a scalar line reads "tag value"; block values are bare numbers, one a line
-    assert [line.split(" ")[0] if line[0].isalpha() else "value" for line in lines[1:]] == skeleton
-    assert lines[2] == f"m= {m}"
-
-
-@pytest.mark.parametrize("block", ["nodes:", "weights:"])
-def test_cache_rule_off_by_one_ulp_rejected(tmp_path, block):
-    path, lines = _cache_lines(tmp_path)
-    at = lines.index(block) + 1 + 7
-    lines[at] = fmt(np.nextafter(float(lines[at]), np.inf))
+def _rewrite(path, lines):
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheInvalidError):
+
+
+def test_cache_layout_is_pinned(tmp_path):
+    path, lines = _cache_lines(tmp_path)
+    assert lines[0] == "TACNODE-RESOLVENT v3"
+    tags = ["sigma=", "m=", "T=", "det=", "q=", "p=", "u=", "v=", "crc32="]
+    assert [line.split(" ")[0] for line in lines[1:]] == tags
+    assert lines[2] == f"m= {RES.m}"
+    # the checksum covers every line above it, header included
+    text = path.read_text()
+    assert int(lines[-1].split(" ")[1]) == zlib.crc32(text[: text.rindex("crc32=")].encode())
+    ar = build_airy_resolvent(0.3, RES)
+    assert [float(line.split(" ")[1]) for line in lines[1:-1]] == [0.3, RES.m, RES.T, ar.det, ar.q, ar.p, ar.u, ar.v]
+
+
+@pytest.mark.parametrize("tag", ["det=", "q=", "p=", "u=", "v="])
+def test_cache_scalar_off_by_one_ulp_rejected(tmp_path, tag):
+    path, lines = _cache_lines(tmp_path)
+    at = next(i for i, line in enumerate(lines) if line.startswith(tag))
+    lines[at] = f"{tag} {fmt(np.nextafter(float(lines[at].split(' ')[1]), np.inf))}"
+    _rewrite(path, lines)
+    with pytest.raises(CacheInvalidError, match="checksum"):
         load_resolvent(0.3, RES, path)
 
 
-def test_wrong_block_tag_rejected(tmp_path):
+def test_hand_edited_scalar_fails_checksum(tmp_path):
+    for tag, value in (("det=", "0.5"), ("q=", "123")):
+        path, lines = _cache_lines(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith(tag))
+        lines[at] = f"{tag} {value}"
+        _rewrite(path, lines)
+        with pytest.raises(CacheInvalidError, match="checksum"):
+            load_resolvent(0.3, RES, path)
+
+
+def test_wrong_tag_rejected(tmp_path):
     path, lines = _cache_lines(tmp_path)
-    lines[lines.index("r0:")] = "rr:"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheInvalidError):
+    lines[4], lines[5] = lines[5], lines[4]  # det= and q= swapped
+    _rewrite(path, lines)
+    with pytest.raises(CacheInvalidError, match="expected"):
         load_resolvent(0.3, RES, path)
 
 
@@ -144,7 +145,7 @@ def test_non_numeric_scalar_rejected(tmp_path):
     path, lines = _cache_lines(tmp_path)
     det_at = next(i for i, line in enumerate(lines) if line.startswith("det="))
     lines[det_at] = "det= not-a-number"
-    path.write_text("\n".join(lines) + "\n")
+    _rewrite(path, lines)
     with pytest.raises(CacheInvalidError):
         load_resolvent(0.3, RES, path)
 
@@ -169,18 +170,6 @@ def test_version_mismatch_rejected(tmp_path):
         load_resolvent(0.3, RES, path)
 
 
-def test_corrupted_solution_fails_residual_check(tmp_path):
-    ar = build_airy_resolvent(0.3, RES)
-    path = tmp_path / "r.txt"
-    cache_resolvent(ar, path)
-    lines = path.read_text().splitlines()
-    qvec_at = lines.index("qvec:") + 1 + RES.m // 3
-    lines[qvec_at] = fmt(float(lines[qvec_at]) + 1e-6)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheInvalidError):
-        load_resolvent(0.3, RES, path)
-
-
 def test_parameter_mismatch_rejected(tmp_path):
     ar = build_airy_resolvent(0.3, RES)
     path = tmp_path / "r.txt"
@@ -197,9 +186,63 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
     files = list(tmp_path.glob("resolvent_*.txt"))
     assert len(files) == 1
     second = load_or_build(1.3, RES)
-    assert second.q == first.q
+    assert second == first
     # a stale file falls back to a rebuild and gets replaced
     files[0].write_text("garbage\n")
     third = load_or_build(1.3, RES)
-    assert third.q == first.q
-    assert get_resolvent(1.3, RES).q == first.q
+    assert third == first
+    ar = get_resolvent(1.3, RES)
+    assert (ar.q, ar.p, ar.u, ar.v, ar.det) == first
+
+
+def test_v2_and_tampered_files_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path))
+    expected = load_or_build(0.3, RES)
+    (path,) = tmp_path.glob("resolvent_*.txt")
+    written = path.read_text()
+    v2 = ["TACNODE-RESOLVENT v2", "sigma= 2.9999999999999999e-01", f"m= {RES.m}", "T= 1.6000000000000000e+01", "nodes:"]
+    tampered = [f"det= {fmt(0.5)}" if line.startswith("det=") else line for line in written.splitlines()]
+    for stale in (v2, tampered):
+        _rewrite(path, stale)
+        assert load_or_build(0.3, RES) == expected
+        assert path.read_text() == written
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``name`` through every tacnode module that holds it."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, mod in list(sys.modules.items()):
+        if (key == "tacnode" or key.startswith("tacnode.")) and callable(getattr(mod, name, None)):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    return calls
+
+
+def test_tw_reads_the_cache_on_its_second_pass(tmp_path, monkeypatch):
+    monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path / "cache"))
+    builds = _count_calls(monkeypatch, "build_airy_resolvent")
+    airy = _count_calls(monkeypatch, "airy_ai_pair")
+    solves = []
+    solve = np.linalg.solve
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    counts = []
+    for out in outs:
+        assert run_cli(["tw", "--sigma-grid", "8.1:13.9:7", "--out", str(out)]) == 0
+        counts.append((len(builds), len(airy), len(solves)))
+        for calls in (builds, airy, solves):
+            calls.clear()
+    assert counts[0] == (7, 7, 7)  # one build, Airy call and solve per shift
+    assert counts[1] == (0, 0, 0)
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -274,6 +274,16 @@ def test_tail_multi_time_heat_term():
     assert kernel_tail(single, 0.3, -0.2) == pytest.approx(kernel(single, 0.3, -0.2), abs=1e-6)
 
 
+def test_default_tail_span_clears_the_guard_at_small_Sigma():
+    # a certification input at which a span of 8 leaves 2.8e-7 of the integral on the last node
+    p = ResolventParams.create(1.9587395422010823, Sigma=0.02748281101003508, tau=0.28164875464022787)
+    u = -0.9993594445437464
+    with pytest.raises(TruncationInsufficientError):
+        kernel_tail(p, u, u, TailSpec(S=8.0, m=40))
+    for v in (u, 0.6871749052311507):
+        assert abs(kernel_tail(p, u, v) - kernel(p, u, v)) < 1e-6
+
+
 def test_tail_guard_raises_for_short_span(sym):
     with pytest.raises(TruncationInsufficientError):
         kernel_tail(sym, 0.5, -0.5, TailSpec(S=2.0, m=20))
