@@ -29,8 +29,8 @@ from .errors import (
     UnsupportedRangeError,
 )
 from .gap import gap_probability
-from .quadrature import QuadratureRule, affine_map_rule, gauss_legendre_rule
-from .resolvent_form import ResolventParams, TailSpec
+from .quadrature import QuadratureRule, TailSpec, affine_map_rule, gauss_legendre_rule
+from .resolvent_form import ResolventParams
 from .rh_form import RHParams, ResidueEntries, SParam, residue_matrix
 from .tracy_widom import f2_det, hamiltonian, hastings_mcleod, hm_derivative
 from .verify import CheckReport, coverage_manifest, run_suite

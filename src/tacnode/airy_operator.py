@@ -4,9 +4,11 @@ The operator has kernel ``K_sigma(x, y) = int_0^inf Ai(x+z+sigma) Ai(y+z+sigma) 
 with the closed form ``(Ai(x+sigma) Ai'(y+sigma) - Ai'(x+sigma) Ai(y+sigma)) / (x - y)``.
 Its superexponentially decaying integrands make a single Gauss-Legendre
 panel on (0, T) converge spectrally, so everything downstream (Fredholm
-determinant, resolvent solves, boundary values) is computed from the matrix
-``I - W^{1/2} K W^{1/2}`` by NumPy's LAPACK: ``np.linalg.det`` for the
-determinant, ``np.linalg.solve`` for the solves.
+determinant, resolvent solves, boundary values) is computed from the Nystrom
+matrix ``I - K W`` (Bornemann, Math. Comp. 79 (2010)) by NumPy's LAPACK:
+``np.linalg.det`` for the determinant, ``np.linalg.solve`` for the solves.
+The system, its determinant, the boundary application and the off-grid
+extension each have one copy here, which the gap and both kernel forms use.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,16 +68,16 @@ def airy_kernel_shifted(sigma, x, y):
     return float(k[0]) if scalar else k
 
 
-def _nystrom_system(kmat: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
-    """The read-only matrix ``I - W^{1/2} K W^{1/2}``, shared by every solve of a resolvent."""
-    system = np.eye(len(sqrt_w)) - sqrt_w[:, None] * kmat * sqrt_w[None, :]
+def _nystrom_system(kmat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The read-only Nystrom matrix ``I - K W``, shared by every solve of a resolvent."""
+    system = np.eye(len(w)) - kmat * w
     system.setflags(write=False)
     return system
 
 
 def symmetrized_determinant(kmat: np.ndarray, weights: np.ndarray) -> float:
-    """det(I - W^{1/2} K W^{1/2}) by ``np.linalg.det``; ``kmat`` need not be symmetric."""
-    return float(np.linalg.det(_nystrom_system(kmat, np.sqrt(weights))))
+    """``det(I - K W)``, equal to the similar symmetrised ``det(I - W^{1/2} K W^{1/2})``; ``kmat`` may be asymmetric."""
+    return float(np.linalg.det(_nystrom_system(kmat, weights)))
 
 
 def _kernel_matrix(x: np.ndarray, sigma: float, ai_nodes: np.ndarray, aip_nodes: np.ndarray) -> np.ndarray:
@@ -95,6 +98,13 @@ def _kernel_matrix(x: np.ndarray, sigma: float, ai_nodes: np.ndarray, aip_nodes:
 def _ray_rule(m: int, T: float) -> QuadratureRule:
     """Gauss-Legendre rule of order ``m`` on (0, T); its arrays are read-only, so builds share it."""
     return affine_map_rule(gauss_legendre_rule(m), 0.0, T)
+
+
+class FuncOnGrid(NamedTuple):
+    """A function on the discretization: its value at 0 and at the nodes."""
+
+    at0: float
+    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +140,6 @@ class AiryResolvent:
     ai0: float
     aip0: float
     _system: np.ndarray = field(repr=False)
-    _sqrt_w: np.ndarray = field(repr=False)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -146,27 +155,15 @@ class AiryResolvent:
         return _kernel_matrix(self.nodes, self.sigma, self.ai_nodes, self.aip_nodes)
 
     def solve(self, g):
-        """Solve ``f(x_i) - sum_j w_j K(x_i, x_j) f(x_j) = g(x_i)`` at the nodes.
+        """Solve ``(I - K W) f = g``, that is ``f(x_i) - sum_j w_j K(x_i, x_j) f(x_j) = g(x_i)``, at the nodes.
 
         ``g`` may be a vector of node values or a matrix of stacked columns.
         """
-        g = np.asarray(g, dtype=float)
-        sqrt_w = self._sqrt_w[:, None] if g.ndim == 2 else self._sqrt_w
-        return np.linalg.solve(self._system, sqrt_w * g) / sqrt_w
+        return np.linalg.solve(self._system, np.asarray(g, dtype=float))
 
     def apply_r0_values(self, f0: float, fvals: np.ndarray) -> float:
-        """``f(0) + sum_i w_i R(x_i, 0) f(x_i)`` from precomputed values."""
+        """``f(0) + sum_i w_i R(x_i, 0) f(x_i)``: ``(I - K)^{-1}(., 0)`` on a :class:`FuncOnGrid`'s fields."""
         return float(f0 + self.weights @ (self.r0 * fvals))
-
-    def apply_r0(self, f) -> float:
-        """Apply ``(I - K)^{-1}(., 0)`` (delta part included) to a callable."""
-        try:
-            fvals = np.asarray(f(self.nodes), dtype=float)
-            if fvals.shape != self.nodes.shape:
-                raise TypeError
-        except TypeError:
-            fvals = np.array([f(t) for t in self.nodes])
-        return self.apply_r0_values(float(f(0.0)), fvals)
 
     def extend(self, fvec: np.ndarray, g, x):
         """Nystrom extension of a solved vector off the grid.
@@ -229,9 +226,8 @@ class AiryResolvent:
         return self.solve(self.kmat)
 
     def resolvent_at(self, x, j: int) -> float:
-        """Off-grid resolvent value ``R(x, x_j)`` by Nystrom extension."""
-        krow = airy_kernel_shifted(self.sigma, x, self.nodes)
-        return float(airy_kernel_shifted(self.sigma, x, self.nodes[j]) + krow @ (self.weights * self.resolvent_matrix[:, j]))
+        """Off-grid resolvent value ``R(x, x_j)``: the :meth:`extend` of column ``j`` of :attr:`resolvent_matrix`."""
+        return self.extend(self.resolvent_matrix[:, j], lambda t: airy_kernel_shifted(self.sigma, t, self.nodes[j]), x)
 
 
 def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), strict: bool = False) -> AiryResolvent:
@@ -248,18 +244,16 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
         raise UnsupportedRangeError(f"shift {sigma} below supported minimum {SIGMA_MIN}")
     rule = _ray_rule(resolution.m, resolution.T)
     x, w = rule.nodes, rule.weights
-    sqrt_w = np.sqrt(w)
     ai, aip = airy_ai_pair(np.concatenate(([0.0], x)) + sigma)
     ai0, aip0, ai_nodes, aip_nodes = float(ai[0]), float(aip[0]), ai[1:], aip[1:]
-    system = _nystrom_system(_kernel_matrix(x, sigma, ai_nodes, aip_nodes), sqrt_w)
+    system = _nystrom_system(_kernel_matrix(x, sigma, ai_nodes, aip_nodes), w)
 
     det = float(np.linalg.det(system))
     if det < DET_FLOOR:
         raise SingularResolventError(f"det(I - K) = {det:.3e} at sigma = {sigma} is below {DET_FLOOR}")
 
     k0 = (ai_nodes * aip0 - aip_nodes * ai0) / x  # K(x_i, 0); nodes stay away from 0
-    rhs = sqrt_w[:, None] * np.column_stack((k0, ai_nodes, aip_nodes))
-    r0, qvec, pvec = (np.linalg.solve(system, rhs) / sqrt_w[:, None]).T.copy()
+    r0, qvec, pvec = np.linalg.solve(system, np.column_stack((k0, ai_nodes, aip_nodes))).T.copy()
     # composed exactly like AiryResolvent.extend so q == extension of qvec at 0
     q = float(ai0 + k0 @ (w * qvec))
     p = float(aip0 + k0 @ (w * pvec))
@@ -267,7 +261,7 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     v = float(w @ (qvec * aip_nodes))
     ar = AiryResolvent(sigma=sigma, resolution=resolution, rule=rule, det=det, r0=r0, qvec=qvec, pvec=pvec,
                        q=q, p=p, u=u, v=v, ai_nodes=ai_nodes, aip_nodes=aip_nodes, ai0=ai0, aip0=aip0,
-                       _system=system, _sqrt_w=sqrt_w)
+                       _system=system)
     if strict:
         wide = build_airy_resolvent(sigma, Resolution(resolution.m, resolution.T + 4.0))
         if abs(wide.q - q) > 1e-10 or abs(wide.det - det) > 1e-10:
@@ -293,9 +287,9 @@ def get_resolvent(sigma: float, resolution: Resolution = Resolution()) -> AiryRe
     At 48 entries that makes no more builds than an unbounded cache; at 36,
     LRU eviction makes every revisit a miss (120 extra builds on a 2 x 2
     point set).  The bound matters because a resolvent holds about 0.2 MiB
-    once its smoothing matrices are in use: 0.05 MiB when built, and 0.05
-    MiB more for each of ``smoothing``, ``smoothing_prime`` and
-    ``resolvent_matrix`` once read.  The tail integrals read none of them,
-    so their 40 resolvents stay at 0.05 MiB each.
+    once its smoothing matrices are in use: 0.05 MiB when built, nearly all
+    of it the 80 x 80 system ``I - K W``, and 0.05 MiB more for each of
+    ``smoothing``, ``smoothing_prime`` and ``resolvent_matrix`` once read.
+    The tail integrals read none of them, so theirs stay at 0.05 MiB.
     """
     return _cached_build(float(sigma), resolution.m, resolution.T)

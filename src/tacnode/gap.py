@@ -1,10 +1,10 @@
 """Gap probabilities of the tacnode process on finite intervals.
 
 The probability of seeing no points in ``(a1, a2)`` is the Fredholm
-determinant of the kernel restricted to that interval.  The restricted
-kernel is not symmetric (the process is not time-reversible for nonzero
-times), so the determinant is taken by ``np.linalg.det``, a pivoted LU
-factorization.
+determinant of the kernel restricted to that interval.  It is taken on a
+Gauss-Legendre rule by the operator layer's one Nystrom determinant,
+``airy_operator.symmetrized_determinant``: ``np.linalg.det`` of ``I - K W``,
+a pivoted LU that needs no symmetry (the process is not time-reversible).
 Only finite intervals are supported: toward minus infinity the kernel
 enters the oscillatory regime and does not decay.  Only equal times are
 supported: the two-time kernel restricted to one interval is not the
@@ -13,9 +13,7 @@ kernel of any gap event.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .airy_operator import Resolution
+from .airy_operator import Resolution, symmetrized_determinant
 from .errors import MultiTimeUnsupportedError
 from .quadrature import affine_map_rule, gauss_legendre_rule
 from .resolvent_form import ResolventParams, kernel_grid
@@ -36,4 +34,4 @@ def gap_probability(params: ResolventParams, a1: float, a2: float, res2: Resolut
         raise ValueError(f"interval endpoints must satisfy a1 < a2, got {a1}, {a2}")
     rule = affine_map_rule(gauss_legendre_rule(res2.m), a1, a2)
     kmat = kernel_grid(params, rule.nodes, rule.nodes)
-    return float(np.linalg.det(np.eye(res2.m) - kmat * rule.weights[None, :]))
+    return symmetrized_determinant(kmat, rule.weights)

@@ -12,6 +12,8 @@ prints of a resolvent build, one ``tag value`` line each, under the header
 ``TACNODE-RESOLVENT v3``: ``sigma=``, ``m=``, ``T=``, ``det=``, ``q=``,
 ``p=``, ``u=``, ``v=``, then ``crc32=``, the ``zlib.crc32`` of every line
 above it.  A load parses these lines and makes no Airy call and no solve.
+Cache paths are plain strings: ``pathlib`` (CPython 3.10, 3.11) interns every
+part of a path for good, so a ``Path`` per new shift would leak memory.
 """
 
 from __future__ import annotations
@@ -147,7 +149,8 @@ def cache_resolvent(ar, path) -> None:
     res = ar.resolution
     values = (fmt(ar.sigma), res.m, fmt(res.T), fmt(ar.det), fmt(ar.q), fmt(ar.p), fmt(ar.u), fmt(ar.v))
     text = _CACHE_HEADER + "\n" + "".join(f"{tag} {value}\n" for tag, value in zip(_CACHE_TAGS, values))
-    Path(path).write_text(f"{text}crc32= {zlib.crc32(text.encode())}\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{text}crc32= {zlib.crc32(text.encode())}\n")
 
 
 def load_resolvent(sigma: float, resolution: Resolution, path) -> tuple[float, float, float, float, float]:
@@ -159,7 +162,8 @@ def load_resolvent(sigma: float, resolution: Resolution, path) -> tuple[float, f
     lines above it.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise CacheInvalidError(f"cannot read cache file {path}") from exc
     if not lines or lines[0] != _CACHE_HEADER:
@@ -197,14 +201,14 @@ def load_or_build(sigma: float, resolution: Resolution = Resolution()) -> tuple[
     """
     cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
-        path = Path(cache_dir) / _cache_filename(sigma, resolution)
-        if path.exists():
+        path = os.path.join(cache_dir, _cache_filename(sigma, resolution))
+        if os.path.exists(path):
             try:
                 return load_resolvent(sigma, resolution, path)
             except CacheInvalidError:
                 pass
         ar = build_airy_resolvent(sigma, resolution)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(cache_dir, exist_ok=True)
         cache_resolvent(ar, path)
     else:
         ar = get_resolvent(sigma, resolution)

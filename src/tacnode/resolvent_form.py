@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, Resolution, get_resolvent
-from .errors import MultiTimeUnsupportedError, TruncationInsufficientError
-from .quadrature import affine_map_rule, gauss_legendre_rule
+from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_resolvent
+from .errors import MultiTimeUnsupportedError
+from .quadrature import TailSpec, _check_tail_mass, affine_map_rule, gauss_legendre_rule
 
 _EQUAL_TIME_EPS = 1e-12
 
@@ -47,48 +47,6 @@ def sigma_from_interaction(lam: float, Sigma: float) -> float:
 def interaction_from_sigma(lam: float, sigma: float) -> float:
     """Inverse of :func:`sigma_from_interaction`."""
     return sigma / (math.sqrt(lam) * (1.0 + lam ** -0.5) ** (2.0 / 3.0))
-
-
-@dataclass(frozen=True)
-class TailSpec:
-    """Quadrature for tail-integrated kernels: ``m`` nodes on a span of ``S``.
-
-    A span of 8 trips the last-node guard of :func:`kernel_tail` at small
-    ``Sigma`` and large ``lam`` (``lam = 1.96, Sigma = 0.027, tau = 0.28``);
-    10 clears it there, with the tail within 1.4e-7 of the kernel.
-    """
-
-    S: float = 10.0
-    m: int = 40
-
-    def __post_init__(self):
-        if not self.S > 0:
-            raise ValueError(f"tail span must be positive, got {self.S}")
-        if self.m < 2:
-            raise ValueError(f"tail quadrature needs at least 2 nodes, got {self.m}")
-
-
-class FuncOnGrid(NamedTuple):
-    """A function on the discretization: its value at 0 and at the nodes."""
-
-    at0: float
-    values: np.ndarray
-
-
-def _check_tail_mass(last_contribution: float, total: float, where: float) -> None:
-    """Guard a truncated shift integral: its last node must carry no real mass.
-
-    The integrands decay superexponentially and ever faster, so the mass
-    beyond the cutoff is of the order of the final node's contribution.  A
-    final node above 1e-6 of the accumulated integral (the documented
-    agreement tolerance of the tail routes) marks the span as insufficient;
-    adequate spans sit orders of magnitude below it.
-    """
-    if abs(last_contribution) > 1e-6 * max(abs(total), 1e-30):
-        raise TruncationInsufficientError(
-            f"tail contribution {last_contribution:.3e} at shift {where:.3f} "
-            f"is not negligible against the integral {total:.3e}; increase the tail span"
-        )
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, Resolution, get_resolvent
+from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_resolvent
 from .errors import MismatchedParamsError
-from .quadrature import affine_map_rule, gauss_legendre_rule
-from .resolvent_form import FuncOnGrid, TailSpec, _check_tail_mass
+from .quadrature import TailSpec, _check_tail_mass, affine_map_rule, gauss_legendre_rule
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DIAGONAL_EPS = 1e-6

@@ -23,8 +23,8 @@ from . import resolvent_form as rf
 from . import rh_form as rh
 from .airy import airy_ai, airy_ai_pair, airy_ai_prime
 from .airy_operator import Resolution, get_resolvent
-from .quadrature import gauss_legendre_rule
-from .resolvent_form import ResolventParams, TailSpec
+from .quadrature import TailSpec, gauss_legendre_rule
+from .resolvent_form import ResolventParams
 from .rh_form import RHParams, SParam
 
 

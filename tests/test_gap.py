@@ -1,9 +1,10 @@
 import pytest
 
-from tacnode.airy_operator import Resolution
+from tacnode.airy_operator import Resolution, symmetrized_determinant
 from tacnode.errors import MultiTimeUnsupportedError
 from tacnode.gap import gap_probability
-from tacnode.resolvent_form import ResolventParams, kernel
+from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
+from tacnode.resolvent_form import ResolventParams, kernel, kernel_grid
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +40,10 @@ def test_multi_time_interval_rejected(params):
     multi = ResolventParams.create(1.0, Sigma=1.0, tau1=0.0, tau2=0.3)
     with pytest.raises(MultiTimeUnsupportedError):
         gap_probability(multi, -1.0, 1.0)
+
+
+def test_gap_uses_the_shared_nystrom_determinant(params):
+    m = 24
+    rule = affine_map_rule(gauss_legendre_rule(m), -1.0, 0.5)
+    kmat = kernel_grid(params, rule.nodes, rule.nodes)
+    assert gap_probability(params, -1.0, 0.5, Resolution(m)) == symmetrized_determinant(kmat, rule.weights)

@@ -246,3 +246,21 @@ def test_tw_reads_the_cache_on_its_second_pass(tmp_path, monkeypatch):
     assert counts[0] == (7, 7, 7)  # one build, Airy call and solve per shift
     assert counts[1] == (0, 0, 0)
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_cache_paths_intern_no_strings(tmp_path, monkeypatch):
+    # pathlib interns every part of a path it builds, so Path cache names would leak one entry per shift
+    monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path / "cache"))
+    interned = []
+    intern = sys.intern
+
+    def counted(s):
+        interned.append(s)
+        return intern(s)
+
+    monkeypatch.setattr(sys, "intern", counted)
+    written = [load_or_build(sigma, RES) for sigma in (8.25, 9.5)]  # builds and writes into a new directory
+    assert [load_or_build(sigma, RES) for sigma in (8.25, 9.5)] == written  # reads back
+    monkeypatch.undo()
+    assert interned == []
+    assert len(list((tmp_path / "cache").glob("resolvent_*.txt"))) == 2

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tacnode.resolvent_form as rf
 import tacnode.rh_form as rh
 from tacnode.airy_operator import Resolution
 from tacnode.errors import MismatchedParamsError
@@ -304,3 +307,16 @@ def test_residue_swap_symmetry(skew):
     assert e.b == pytest.approx(swapped.b_tilde, abs=1e-12)
     assert e.beta == pytest.approx(swapped.beta_tilde, abs=1e-12)
     assert e.f == pytest.approx(swapped.f_tilde, abs=1e-12)
+
+
+@pytest.mark.parametrize("module, other", [(rh, "resolvent_form"), (rf, "rh_form")])
+def test_the_two_forms_import_nothing_from_each_other(module, other):
+    # the equivalence checks certify two independent codes, so neither form may use the other's
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)  # catches "from . import <module>"
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert other not in {name.rsplit(".", 1)[-1] for name in imported}
