@@ -14,6 +14,7 @@ extension each have one copy here, which the gap and both kernel forms use.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -39,8 +40,8 @@ class Resolution:
     def __post_init__(self):
         if self.m < 4:
             raise ValueError(f"resolution order must be >= 4, got {self.m}")
-        if not self.T > 0:
-            raise ValueError(f"truncation point must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"truncation point must be positive and finite, got {self.T}")
 
 
 def airy_kernel_shifted(sigma, x, y):
@@ -168,13 +169,13 @@ class AiryResolvent:
     def extend(self, fvec: np.ndarray, g, x):
         """Nystrom extension of a solved vector off the grid.
 
-        Given ``fvec`` solving ``(I - K) f = g`` at the nodes, returns
-        ``g(x) + sum_j w_j K(x, x_j) f(x_j)`` for scalar or array ``x``.
+        Given ``fvec`` solving ``(I - K) f = g`` at the nodes for a callable
+        ``g``, returns ``g(x) + sum_j w_j K(x, x_j) f(x_j)`` for scalar or
+        array ``x``.
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         krows = airy_kernel_shifted(self.sigma, x_arr[:, None], self.nodes[None, :])
-        gx = np.asarray(g(x_arr) if callable(g) else g, dtype=float)
-        out = gx + krows @ (self.weights * fvec)
+        out = np.asarray(g(x_arr), dtype=float) + krows @ (self.weights * fvec)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def _node_sum_matrix(self, part: int) -> np.ndarray:
@@ -235,13 +236,14 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
 
     Raises ``UnsupportedRangeError`` below ``sigma = -8`` and
     ``SingularResolventError`` once det(I - K) falls under 1e-8, where the
-    linear solves no longer carry enough digits.  With ``strict=True`` the
+    linear solves no longer carry enough digits; a NaN shift or
+    determinant fails the same guards.  With ``strict=True`` the
     build is repeated at T + 4 and a drift of more than 1e-10 in ``q`` or
     the determinant raises ``TruncationInsufficientError``.
     """
     sigma = float(sigma)
-    if sigma < SIGMA_MIN:
-        raise UnsupportedRangeError(f"shift {sigma} below supported minimum {SIGMA_MIN}")
+    if not sigma >= SIGMA_MIN:
+        raise UnsupportedRangeError(f"shift {sigma} is not at or above the supported minimum {SIGMA_MIN}")
     rule = _ray_rule(resolution.m, resolution.T)
     x, w = rule.nodes, rule.weights
     ai, aip = airy_ai_pair(np.concatenate(([0.0], x)) + sigma)
@@ -249,7 +251,7 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     system = _nystrom_system(_kernel_matrix(x, sigma, ai_nodes, aip_nodes), w)
 
     det = float(np.linalg.det(system))
-    if det < DET_FLOOR:
+    if not det >= DET_FLOOR:
         raise SingularResolventError(f"det(I - K) = {det:.3e} at sigma = {sigma} is below {DET_FLOOR}")
 
     k0 = (ai_nodes * aip0 - aip_nodes * ai0) / x  # K(x_i, 0); nodes stay away from 0

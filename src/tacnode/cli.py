@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 argument errors, 3 numerical or I/O failure,
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 
 import numpy as np
@@ -24,27 +26,33 @@ from .resolvent_form import ResolventParams, kernel_columns, kernel_rows
 from .rh_form import RHParams, residue_matrix
 from .verify import run_suite
 
-_VALUE_FLAGS = {
-    "--sigma-grid", "--grid", "--u-grid", "--v-grid", "--sigma", "--Sigma",
-    "--tau", "--tau1", "--tau2", "--lambda", "--m", "--T", "--out", "--format",
-    "--workers", "--a1", "--a2", "--gap-m", "--r1", "--r2", "--s1", "--s2",
-    "--suite", "--tol-scale",
-}
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 
 def _normalize_argv(argv):
-    """Glue values that start with a dash (like ``-2:2:41``) onto their flag."""
+    """Glue a value that starts like a negative number (``-2:2:41``, ``-.5``) onto the flag before it.
+
+    argparse would take such a token for an option; no option name starts
+    with a digit or a dot.  A value that starts with a dash and a letter
+    (``--out -name.csv``) needs the ``--out=-name.csv`` form.
+    """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -52,7 +60,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must look like start:stop:count, got {spec!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid specification {spec!r}") from exc
     if count < 1:
@@ -62,8 +70,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _add_resolution(parser):
     parser.add_argument("--m", type=int, default=80, help="quadrature order of the operator discretization")
-    parser.add_argument("--T", type=float, default=16.0, help="truncation point of the half-line")
-    parser.add_argument("--strict", action="store_true", help="validate the truncation point at build time")
+    parser.add_argument("--T", type=_finite, default=16.0, help="truncation point of the half-line")
 
 
 def _add_output(parser, default_format="csv"):
@@ -73,13 +80,13 @@ def _add_output(parser, default_format="csv"):
 
 
 def _add_fv_params(parser):
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0, help="asymmetry of the two path groups")
+    parser.add_argument("--lambda", dest="lam", type=_finite, default=1.0, help="asymmetry of the two path groups")
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--Sigma", type=float, help="interaction strength")
-    group.add_argument("--sigma", type=float, help="operator shift (alternative to --Sigma)")
-    parser.add_argument("--tau", type=float, default=None, help="common time of both arguments")
-    parser.add_argument("--tau1", type=float, default=None)
-    parser.add_argument("--tau2", type=float, default=None)
+    group.add_argument("--Sigma", type=_finite, help="interaction strength")
+    group.add_argument("--sigma", type=_finite, help="operator shift (alternative to --Sigma)")
+    parser.add_argument("--tau", type=_finite, default=None, help="common time of both arguments")
+    parser.add_argument("--tau1", type=_finite, default=None)
+    parser.add_argument("--tau2", type=_finite, default=None)
 
 
 def _build_parser():
@@ -97,32 +104,33 @@ def _build_parser():
     kern.add_argument("--grid", type=_parse_grid, help="start:stop:count for both axes")
     kern.add_argument("--u-grid", type=_parse_grid)
     kern.add_argument("--v-grid", type=_parse_grid)
-    kern.add_argument("--workers", type=int, default=1, help="no-op, kept so existing command lines parse")
     _add_resolution(kern)
     _add_output(kern, default_format="csv")
 
     gap = sub.add_parser("gap", help="probability of no points in an interval")
     _add_fv_params(gap)
-    gap.add_argument("--a1", type=float, required=True)
-    gap.add_argument("--a2", type=float, required=True)
+    gap.add_argument("--a1", type=_finite, required=True)
+    gap.add_argument("--a2", type=_finite, required=True)
     gap.add_argument("--gap-m", type=int, default=60, help="quadrature order on the interval")
     _add_resolution(gap)
     _add_output(gap)
 
     res = sub.add_parser("residue", help="closed-form residue-matrix entries")
-    res.add_argument("--r1", type=float, required=True)
-    res.add_argument("--r2", type=float, required=True)
-    res.add_argument("--s1", type=float, required=True)
-    res.add_argument("--s2", type=float, required=True)
-    res.add_argument("--tau", type=float, default=0.0)
+    res.add_argument("--r1", type=_finite, required=True)
+    res.add_argument("--r2", type=_finite, required=True)
+    res.add_argument("--s1", type=_finite, required=True)
+    res.add_argument("--s2", type=_finite, required=True)
+    res.add_argument("--tau", type=_finite, default=0.0)
     _add_resolution(res)
     _add_output(res)
 
     ver = sub.add_parser("verify", help="run the certification suite")
     ver.add_argument("--suite", choices=("tw", "resolvent", "rh", "equivalence", "compat", "all"), default="all")
-    ver.add_argument("--tol-scale", type=float, default=1.0)
+    ver.add_argument("--tol-scale", type=_finite, default=1.0)
     _add_resolution(ver)
     _add_output(ver)
+    for build in (tw, kern, gap, res):
+        build.add_argument("--strict", action="store_true", help="validate the truncation point at build time")
     return parser
 
 
@@ -187,7 +195,7 @@ def _cmd_gap(args) -> int:
     params = _fv_params(args, resolution)
     if args.strict:
         build_airy_resolvent(params.sigma, resolution, strict=True)
-    value = gap_probability(params, args.a1, args.a2, Resolution(args.gap_m, args.T))
+    value = gap_probability(params, args.a1, args.a2, args.gap_m)
     if args.out:
         table = Table(
             ("a1", "a2", "gap"),

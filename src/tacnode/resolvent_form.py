@@ -158,15 +158,13 @@ def script_a(params: ResolventParams, tau: float, z: float, tilde: bool = False)
     return FuncOnGrid(float(a[0]), a[1:])
 
 
-def script_a_at(params: ResolventParams, tau: float, z: float, x, tilde: bool = False):
-    """Smoothed profile evaluated at arbitrary points ``x >= 0`` off the grid."""
+def script_a_at(params: ResolventParams, tau: float, z: float, x):
+    """Smoothed profile ``A`` evaluated at arbitrary points ``x >= 0`` off the grid."""
     ar = params.resolvent
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bt, b = _b_pair(params, tau, z, np.concatenate((x, ar.nodes)))
-    own, other = (bt[: len(x)], b[len(x):]) if tilde else (b[: len(x)], bt[len(x):])
-    factor = params.lam ** (-1.0 / 6.0) if tilde else params.lam ** (1.0 / 6.0)
     rows, _ = airy_ai_pair(x[:, None] + ar.nodes[None, :] + params.sigma)
-    return own - factor * (rows @ (ar.weights * other))
+    return b[: len(x)] - params.lam ** (1.0 / 6.0) * (rows @ (ar.weights * bt[len(x):]))
 
 
 def _phat_pair(lam: float, w: np.ndarray, r0, qvec, bt, b):

@@ -52,9 +52,6 @@ DEFAULT_TW_SIGMAS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_POINTS = (-1.0, 0.0, 1.0)
 DEFAULT_RESOLVENT_SETS = ((1.0, 1.0, 0.0, 0.0), (2.0, 0.5, 0.3, 0.3), (1.0, 1.0, 0.1, 0.4))
 DEFAULT_RH_SETS = ((1.0, 1.0, 0.5, 0.5, 0.0), (1.2, 0.9, 0.4, 0.7, 0.3))
-DEFAULT_EQUIVALENCE = ((1.0, 1.0, 0.0), (2.0, 0.5, 0.3))
-DEFAULT_COMPAT = ((1.0, 1.0, SParam(1.0, 1.0, 0.5), 0.0), (1.2, 0.9, SParam(1.3, 0.8, 0.4), 0.3))
-_PAIR_COUNT = 10
 _H1 = 1e-3  # first derivatives, central
 _H2 = 1e-2  # second derivatives, five-point
 
@@ -71,21 +68,21 @@ def _richardson(f, x: float, h: float) -> float:
     return (4 * _central(f, x, h / 2) - _central(f, x, h)) / 3
 
 
-def painleve_residual(sigma: float, res: Resolution, q_func=None, h: float = _H2) -> float:
+def painleve_residual(sigma: float, res: Resolution, q_func=None) -> float:
     """|q'' - sigma q - 2 q^3| with a five-point second difference.
 
     ``q_func`` may replace the Hastings-McLeod evaluation (used by the
     sensitivity tests); the default is the resolvent route.
     """
     q = q_func if q_func is not None else (lambda s: get_resolvent(s, res).q)
-    qpp = _five_point_second(q, sigma, h)
+    qpp = _five_point_second(q, sigma, _H2)
     q0 = q(sigma)
     return abs(qpp - sigma * q0 - 2.0 * q0**3)
 
 
 def _node_pairs(m: int):
     base = ((5, 10), (10, 20), (15, 30), (20, 40), (25, 50), (30, 15), (40, 25), (50, 35), (60, 45), (70, 55))
-    return tuple((i % m, j % m) for i, j in base)[:_PAIR_COUNT]
+    return tuple((i % m, j % m) for i, j in base)
 
 
 def check_tw(sigmas=DEFAULT_TW_SIGMAS, res: Resolution = Resolution()) -> list[CheckReport]:
@@ -177,16 +174,12 @@ def _resolvent_params(spec, res: Resolution) -> ResolventParams:
     return ResolventParams.create(lam, Sigma=Sigma, tau1=tau1, tau2=tau2, resolution=res)
 
 
-def check_resolvent_kernel(
-    paramsets=DEFAULT_RESOLVENT_SETS,
-    points=DEFAULT_POINTS,
-    res: Resolution = Resolution(),
-) -> list[CheckReport]:
+def check_resolvent_kernel(res: Resolution = Resolution()) -> list[CheckReport]:
     """Identities of the Airy-resolvent kernel form."""
     reports = []
-    params = [_resolvent_params(spec, res) for spec in paramsets]
+    params = [_resolvent_params(spec, res) for spec in DEFAULT_RESOLVENT_SETS]
     single = [p for p in params if p.single_time]
-    pts = [(u, v) for u in points for v in points]
+    pts = [(u, v) for u in DEFAULT_POINTS for v in DEFAULT_POINTS]
 
     resid = []
     for p in params:
@@ -196,12 +189,12 @@ def check_resolvent_kernel(
             resid.append((an - fd) / an)
     reports.append(CheckReport.build(
         "rank2_derivative_fd", "d/dsigma kernel = -C^-2 (lam^(1/3) phat1 phat1 + lam^(-1/2) phat2 phat2)",
-        resid, 1e-5, paramsets))
+        resid, 1e-5, DEFAULT_RESOLVENT_SETS))
 
     resid = []
     for p in params:
         ar = p.resolvent
-        for z in points:
+        for z in DEFAULT_POINTS:
             for tau in (p.tau1, -p.tau2):
                 a_plain = rf.script_a(p, tau, z)
                 a_tilde = rf.script_a(p, tau, z, tilde=True)
@@ -213,23 +206,22 @@ def check_resolvent_kernel(
                 resid.extend([p1 - p1q, p2 - p2q])
     reports.append(CheckReport.build(
         "phat_equivalent_forms", "resolvent and Q-integral expressions of phat agree",
-        resid, 1e-9, points))
+        resid, 1e-9, DEFAULT_POINTS))
 
-    sym = next((p for p in single if p.lam == 1.0), None)
-    if sym is not None:
-        resid = [rf.phat(sym, sym.tau1, z)[0] - rf.phat(sym, sym.tau1, -z)[1] for z in points]
-        reports.append(CheckReport.build(
-            "phat_symmetric_swap", "lam = 1: phat1(z) = phat2(-z)", resid, 1e-12, points))
-        resid = []
-        for tau, z in ((sym.tau1, 0.3), (0.2, -0.7)):
-            bt = rf.b_values(sym, tau, z, sym.resolvent.nodes, tilde=True)
-            bm = rf.b_values(sym, tau, -z, sym.resolvent.nodes)
-            resid.append(np.max(np.abs(bt - bm)))
-        reports.append(CheckReport.build(
-            "profile_symmetric_swap", "lam = 1: b_tilde(tau, z) = b(tau, -z)", resid, 1e-13, points))
-        resid = [rf.kernel(sym, u, v) - rf.kernel(sym, -u, -v) for u, v in pts]
-        reports.append(CheckReport.build(
-            "kernel_reflection", "lam = 1: kernel(u, v) = kernel(-u, -v)", resid, 1e-9, pts))
+    sym = next(p for p in single if p.lam == 1.0)
+    resid = [rf.phat(sym, sym.tau1, z)[0] - rf.phat(sym, sym.tau1, -z)[1] for z in DEFAULT_POINTS]
+    reports.append(CheckReport.build(
+        "phat_symmetric_swap", "lam = 1: phat1(z) = phat2(-z)", resid, 1e-12, DEFAULT_POINTS))
+    resid = []
+    for tau, z in ((sym.tau1, 0.3), (0.2, -0.7)):
+        bt = rf.b_values(sym, tau, z, sym.resolvent.nodes, tilde=True)
+        bm = rf.b_values(sym, tau, -z, sym.resolvent.nodes)
+        resid.append(np.max(np.abs(bt - bm)))
+    reports.append(CheckReport.build(
+        "profile_symmetric_swap", "lam = 1: b_tilde(tau, z) = b(tau, -z)", resid, 1e-13, DEFAULT_POINTS))
+    resid = [rf.kernel(sym, u, v) - rf.kernel(sym, -u, -v) for u, v in pts]
+    reports.append(CheckReport.build(
+        "kernel_reflection", "lam = 1: kernel(u, v) = kernel(-u, -v)", resid, 1e-9, pts))
 
     resid = [rf.kernel_six_term(p, u, v) - rf.kernel(p, u, v) for p in single for u, v in pts]
     reports.append(CheckReport.build(
@@ -251,7 +243,7 @@ def check_resolvent_kernel(
     reports.append(CheckReport.build(
         "smoothing_square_rewrite",
         "(I-K)^-1 against smoothed profiles equals its unsmoothed form minus the plain overlap",
-        resid, 1e-9, paramsets))
+        resid, 1e-9, DEFAULT_RESOLVENT_SETS))
 
     resid = []
     pts5 = [(u, v) for u in np.linspace(-1, 1, 5) for v in np.linspace(-1, 1, 5)]
@@ -260,7 +252,7 @@ def check_resolvent_kernel(
         resid.extend(rf.kernel(p, u, v) - rf.kernel(mirrored, v, u) for u, v in pts5)
     reports.append(CheckReport.build(
         "kernel_time_symmetry", "kernel(u, v; tau1, tau2) = kernel(v, u; -tau2, -tau1)",
-        resid, 1e-10, paramsets))
+        resid, 1e-10, DEFAULT_RESOLVENT_SETS))
 
     multi = [p for p in params if not p.single_time]
     resid = []
@@ -278,21 +270,21 @@ def check_resolvent_kernel(
             resid.append(rf.kernel(p, u, v) - smooth_part - heat)
     reports.append(CheckReport.build(
         "heat_term_presence", "backward heat term enters exactly when tau1 < tau2",
-        resid, 1e-12, paramsets))
+        resid, 1e-12, DEFAULT_RESOLVENT_SETS))
 
     resid = []
     for p in params:
-        grid = np.array([[rf.kernel_dsigma(p, u, v) for v in points] for u in points])
+        grid = np.array([[rf.kernel_dsigma(p, u, v) for v in DEFAULT_POINTS] for u in DEFAULT_POINTS])
         sv = np.linalg.svd(grid, compute_uv=False)
         resid.append(sv[2] / sv[0])
     reports.append(CheckReport.build(
         "rank2_structure", "sampled kernel shift-derivative has numerical rank 2",
-        resid, 1e-8, points))
+        resid, 1e-8, DEFAULT_POINTS))
 
     resid = [rf.kernel_tail(p, 0.5, -0.5) - rf.kernel(p, 0.5, -0.5) for p in params]
     reports.append(CheckReport.build(
         "tail_integral_vs_kernel", "integrating the rank-2 derivative over the shift recovers the kernel",
-        resid, 1e-6, paramsets))
+        resid, 1e-6, DEFAULT_RESOLVENT_SETS))
 
     # shift/space differential identity of the smoothed profile, by finite differences
     resid = []
@@ -327,31 +319,27 @@ def _rh_params(spec, res: Resolution) -> RHParams:
     return RHParams.create(r1, r2, s1, s2, tau, res)
 
 
-def check_rh_kernel(
-    paramsets=DEFAULT_RH_SETS,
-    zs=DEFAULT_POINTS,
-    res: Resolution = Resolution(),
-) -> list[CheckReport]:
+def check_rh_kernel(paramsets=DEFAULT_RH_SETS, res: Resolution = Resolution()) -> list[CheckReport]:
     """Identities of the Riemann-Hilbert kernel form."""
     reports = []
     params = [_rh_params(spec, res) for spec in paramsets]
 
     resid = []
     for p in params:
-        for z in zs:
+        for z in DEFAULT_POINTS:
             g = rh.p_vector(p, z)
             m = rh.m_top_left(p, z)
             resid.extend([g.p1 - (m[0, 0] + m[0, 1]), g.p2 - (m[1, 0] + m[1, 1])])
     reports.append(CheckReport.build(
         "p_column_sum", "p equals the sum of the first two columns of the RH block",
-        resid, 1e-12, zs))
+        resid, 1e-12, DEFAULT_POINTS))
 
     r1_resid, r2_resid = [], []
     for p in params:
         ar = p.resolvent
         q = ar.q
         dq = ar.p - q * ar.u
-        for z in zs:
+        for z in DEFAULT_POINTS:
             g = rh.p_vector(p, z)
             ddp1 = _richardson(lambda t: rh.p_vector(p, t).dp1, z, _H1)
             ddp2 = _richardson(lambda t: rh.p_vector(p, t).dp2, z, _H1)
@@ -367,17 +355,17 @@ def check_rh_kernel(
             r2_resid.append(lhs2 - rhs2)
     reports.append(CheckReport.build(
         "p_ode_first", "r1^-2 p1'' = 2 tau p1' + C^2 D^-1 q p2' + [C q^2 - z + 2 s1/r1 - r1^2 tau^2] p1 - C D^-1 q' p2",
-        r1_resid, 1e-5, zs))
+        r1_resid, 1e-5, DEFAULT_POINTS))
     reports.append(CheckReport.build(
         "p_ode_second", "r2^-2 p2'' = -C^2 D q p1' - 2 tau p2' + [C q^2 + z + 2 s2/r2 - r2^2 tau^2] p2 - C D q' p1",
-        r2_resid, 1e-5, zs))
+        r2_resid, 1e-5, DEFAULT_POINTS))
 
     resid = []
     for p in params:
         ar = p.resolvent
         q, u = ar.q, ar.u
         dq = ar.p - q * u
-        for z in zs:
+        for z in DEFAULT_POINTS:
             (m1, m2), (dm1, dm2) = rh.m_first_column(p, z, order=1)
             ddm1 = _richardson(lambda t: rh.m_first_column(p, t, order=1)[1][0], z, _H1)
             lhs = p.r1**-2 * ddm1
@@ -387,12 +375,12 @@ def check_rh_kernel(
             resid.append(lhs - rhs)
     reports.append(CheckReport.build(
         "m_column_ode", "the first RH column satisfies the same second-order system as p",
-        resid, 1e-5, zs))
+        resid, 1e-5, DEFAULT_POINTS))
 
     xs = np.array([0.2, 0.9, 2.1])
     plain_resid, tilde_resid, cross_resid = [], [], []
     for p in params:
-        for z in zs:
+        for z in DEFAULT_POINTS:
             b, db, d2b = rh.b_with_derivs(p, z, xs, order=2)
             plain_resid.extend(p.r2**-2 * d2b + 2 * p.tau * db - (z + p.C * xs + 2 * p.s2 / p.r2 - p.r2**2 * p.tau**2) * b)
             bt, dbt, d2bt = rh.b_with_derivs(p, z, xs, tilde=True, order=2)
@@ -402,18 +390,18 @@ def check_rh_kernel(
             cross_resid.extend(fd_x - p.C * fd_z)
     reports.append(CheckReport.build(
         "profile_ode_plain", "r2^-2 b'' + 2 tau b' = (z + C x + 2 s2/r2 - r2^2 tau^2) b in z",
-        plain_resid, 1e-6, zs))
+        plain_resid, 1e-6, DEFAULT_POINTS))
     reports.append(CheckReport.build(
         "profile_ode_tilde", "r1^-2 bt'' - 2 tau bt' = (-z + C x + 2 s1/r1 - r1^2 tau^2) bt in z",
-        tilde_resid, 1e-6, zs))
+        tilde_resid, 1e-6, DEFAULT_POINTS))
     reports.append(CheckReport.build(
-        "profile_x_vs_z", "d/dx b = C d/dz b", cross_resid, 1e-8, zs))
+        "profile_x_vs_z", "d/dx b = C d/dz b", cross_resid, 1e-8, DEFAULT_POINTS))
 
     dz_resid, dzz_resid = [], []
     for p in params:
         ar = p.resolvent
         nodes = ar.nodes
-        for z in zs:
+        for z in DEFAULT_POINTS:
             a0, a1, a2 = rh.script_a(p, z, order=2)
             bt = rh.b_with_derivs(p, z, np.array([0.0]), tilde=True, order=1)
             bt0, dbt0 = bt[0][0], bt[1][0]
@@ -429,16 +417,16 @@ def check_rh_kernel(
             dzz_resid.extend(p.r2**-2 * a2.values + 2 * p.tau * a1.values - rhs)
     reports.append(CheckReport.build(
         "smoothed_profile_dz", "d/dz A = C^-1 (d/dx A - D Ai(x+sigma) b_tilde(0))",
-        dz_resid, 1e-6, zs))
+        dz_resid, 1e-6, DEFAULT_POINTS))
     reports.append(CheckReport.build(
         "smoothed_profile_dzz",
         "r2^-2 d2/dz2 A + 2 tau d/dz A = (z + C x + 2 s2/r2 - r2^2 tau^2) A + C D (Ai bt'(0) - Ai' bt(0))",
-        dzz_resid, 1e-5, zs))
+        dzz_resid, 1e-5, DEFAULT_POINTS))
 
     resid = []
     for p in params:
         ar = p.resolvent
-        for z in zs:
+        for z in DEFAULT_POINTS:
             g = rh.p_vector(p, z)
             a_plain = rh.script_a(p, z)[0]
             a_tilde = rh.script_a(p, z, tilde=True)[0]
@@ -449,13 +437,13 @@ def check_rh_kernel(
             resid.extend([g.p1 - p1q, g.p2 - p2q])
     reports.append(CheckReport.build(
         "p_equivalent_forms", "resolvent and Q-integral expressions of p agree",
-        resid, 1e-9, zs))
+        resid, 1e-9, DEFAULT_POINTS))
 
     resid = []
     for lam, Sigma, tau in ((1.0, 1.0, 0.0), (2.0, 0.5, 0.3)):
         pf = ResolventParams.create(lam, Sigma=Sigma, tau=tau, resolution=res)
         pr = rh.from_resolvent_params(lam, Sigma, tau, res)
-        for z in zs:
+        for z in DEFAULT_POINTS:
             g = rh.p_vector(pr, z)
             h1, h2 = rf.phat(pf, tau, z)
             c1 = math.sqrt(2 * math.pi) * pr.r1 ** (1.0 / 6.0) * math.exp(pr.r1**4 * tau * (Sigma + 2.0 / 3.0 * tau**2))
@@ -463,7 +451,7 @@ def check_rh_kernel(
             resid.extend([g.p1 / (c1 * h1) - 1.0, g.p2 / (c2 * h2) - 1.0])
     reports.append(CheckReport.build(
         "p_phat_scaling", "p_j = sqrt(2 pi) r_j^(1/6) exp(r_j^4 tau (Sigma + 2 tau^2/3)) phat_j",
-        resid, 1e-9, zs))
+        resid, 1e-9, DEFAULT_POINTS))
 
     sym = params[0]
     if sym.r1 == sym.r2 and sym.s1 == sym.s2 and sym.tau == 0.0:
@@ -514,19 +502,16 @@ def check_rh_kernel(
 
 
 def check_equivalence(
-    lambdas=None,
-    Sigmas=None,
-    taus=None,
+    lambdas=(1.0, 2.0),
+    Sigmas=(1.0, 0.5),
+    taus=(0.0, 0.3),
     points=DEFAULT_POINTS,
     res: Resolution = Resolution(),
     tail: TailSpec = TailSpec(),
 ) -> list[CheckReport]:
     """The central claim: both kernel forms give the same function."""
     reports = []
-    if lambdas is None:
-        lambdas, Sigmas, taus = zip(*DEFAULT_EQUIVALENCE)
-    tuples = list(zip(list(lambdas), list(Sigmas), list(taus)))
-    for lam, Sigma, tau in tuples:
+    for lam, Sigma, tau in zip(lambdas, Sigmas, taus, strict=True):
         pf = ResolventParams.create(lam, Sigma=Sigma, tau=tau, resolution=res)
         pp = rh.from_resolvent_params(lam, Sigma, tau, res)
         pm = pp.with_tau(-tau)

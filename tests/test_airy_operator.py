@@ -31,6 +31,9 @@ def test_resolution_validation():
         Resolution(m=3)
     with pytest.raises(ValueError):
         Resolution(T=0.0)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Resolution(T=T)
 
 
 def test_kernel_diagonal_formula():
@@ -176,8 +179,20 @@ def test_determinant_self_convergence():
 def test_unsupported_and_singular_ranges():
     with pytest.raises(UnsupportedRangeError):
         build_airy_resolvent(-8.5)
+    with pytest.raises(UnsupportedRangeError):
+        build_airy_resolvent(math.nan)
     with pytest.raises(SingularResolventError):
         build_airy_resolvent(-6.5)
+    # under-resolved builds: at m <= 8 the discrete determinant goes negative inside the range SIGMA_MIN admits
+    for sigma, resolution in ((-5.0, Resolution(4, 16.0)), (-4.0, Resolution(8, 16.0))):
+        with pytest.raises(SingularResolventError):
+            build_airy_resolvent(sigma, resolution)
+
+
+def test_nan_determinant_is_singular(monkeypatch):
+    monkeypatch.setattr(np.linalg, "det", lambda a: math.nan)
+    with pytest.raises(SingularResolventError):
+        build_airy_resolvent(0.3)
 
 
 def test_strict_mode_passes_at_default_truncation():
@@ -232,7 +247,7 @@ _THREADED_SOLVES = textwrap.dedent("""
 
 
 def test_concurrent_solves_match_serial_bit_for_bit():
-    # one resolvent shared by 4 threads, as the lru_cache shares it across CLI workers;
+    # one resolvent shared by 4 threads, as the lru_cache shares it with every thread of a caller;
     # a subprocess, because a race in the solve can abort the interpreter outright
     src = os.path.dirname(os.path.dirname(tacnode.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -34,15 +35,6 @@ def test_kernel_json_grid(tmp_path):
     assert len(payload["data"]["values"]) == 21
     for key in ("lambda", "Sigma", "sigma", "tau1", "tau2", "m", "T"):
         assert key in payload["meta"]
-
-
-def test_kernel_parallel_matches_serial(tmp_path):
-    args = ["kernel", "--lambda", "1.5", "--Sigma", "0.8", "--tau", "0.2", "--grid", "-1:1:5", "--no-banner"]
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert run_cli(args + ["--workers", "1", "--out", str(serial)]) == 0
-    assert run_cli(args + ["--workers", "4", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 @pytest.mark.parametrize("times", [{"tau": 0.15}, {"tau1": 0.1, "tau2": 0.35}])
@@ -110,6 +102,9 @@ def test_argument_errors_exit_2():
     assert run_cli(["tw", "--sigma-grid", "0:1:3", "--bogus"]) == 2
     assert run_cli(["kernel", "--lambda", "1", "--Sigma", "1"]) == 2
     assert run_cli(["gap", "--lambda", "1", "--Sigma", "1", "--a1", "1", "--a2", "-1"]) == 2
+    # removed options
+    assert run_cli(["kernel", "--lambda", "1", "--Sigma", "1", "--grid", "0:1:2", "--workers", "1"]) == 2
+    assert run_cli(["verify", "--suite", "compat", "--strict"]) == 2
 
 
 def test_numerical_failures_exit_3(tmp_path):
@@ -138,3 +133,47 @@ def test_verify_suite_exit_codes(tmp_path):
     # an absurd tolerance scale forces failures and exit code 4
     rc = run_cli(["verify", "--suite", "compat", "--tol-scale", "1e-12"])
     assert rc == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["tw", "--sigma-grid", "0:1:2"],
+    ["kernel", "--lambda", "1.2", "--Sigma", "0.5", "--tau", "0.1", "--grid", "-1:1:3"],
+    ["gap", "--lambda", "1", "--Sigma", "1", "--tau", "0", "--a1", "-1", "--a2", "1", "--gap-m", "8"],
+    ["residue", "--r1", "1.2", "--r2", "0.9", "--s1", "0.4", "--s2", "0.7"],
+    ["verify", "--suite", "compat"],
+], ids=lambda argv: argv[0])
+def test_every_option_is_read(tmp_path, argv):
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    args = tacnode.cli._build_parser().parse_args(tacnode.cli._normalize_argv(argv), namespace=Recording())
+    read.clear()
+    assert tacnode.cli._COMMANDS[args.command](args) == 0
+    assert set(vars(args)) - {"command"} - read == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tw", "--sigma-grid", "nan:0:2"],
+    ["tw", "--sigma-grid", "0:inf:2"],
+    ["tw", "--sigma-grid", "0:1:2", "--T", "inf"],
+    ["gap", "--lambda", "1", "--Sigma", "1", "--a1", "-inf", "--a2", "1"],
+    ["gap", "--lambda", "1", "--Sigma", "1", "--a1=-inf", "--a2", "1"],
+    ["kernel", "--lambda", "nan", "--Sigma", "1", "--grid", "0:1:2"],
+    ["residue", "--r1", "1.2", "--r2", "0.9", "--s1", "nan", "--s2", "0.7"],
+    ["verify", "--suite", "compat", "--tol-scale", "nan"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_non_finite_values_are_argument_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    assert "error: argument" in capsys.readouterr().err  # rejected by the parser, before any computation
+
+
+def test_negative_values_glue_onto_their_flag():
+    glued = tacnode.cli._normalize_argv(["tw", "--sigma-grid", "-4.7:4.8:25", "--tau", "-.5", "--out", "-x.csv"])
+    assert glued == ["tw", "--sigma-grid=-4.7:4.8:25", "--tau=-.5", "--out", "-x.csv"]
+    # a glued flag takes no second value
+    assert tacnode.cli._normalize_argv(["--grid", "-1:1:3", "-2"]) == ["--grid=-1:1:3", "-2"]

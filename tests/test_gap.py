@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from tacnode.airy_operator import Resolution, symmetrized_determinant
+from tacnode.airy_operator import symmetrized_determinant
 from tacnode.errors import MultiTimeUnsupportedError
 from tacnode.gap import gap_probability
 from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
@@ -17,9 +19,15 @@ def test_rejects_empty_interval(params):
         gap_probability(params, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("a1, a2", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)])
+def test_rejects_non_finite_endpoints(params, a1, a2):
+    with pytest.raises(ValueError, match="finite"):
+        gap_probability(params, a1, a2)
+
+
 def test_vanishing_interval_limit(params):
     width = 1e-6
-    value = gap_probability(params, -width / 2, width / 2, Resolution(m=20))
+    value = gap_probability(params, -width / 2, width / 2, 20)
     assert abs(value - 1.0) <= 1e-6 * max(1.0, abs(kernel(params, 0.0, 0.0)))
 
 
@@ -30,8 +38,8 @@ def test_monotone_under_interval_inclusion(params):
 
 
 def test_self_convergence_under_order_doubling(params):
-    coarse = gap_probability(params, -1.0, 1.0, Resolution(m=60))
-    fine = gap_probability(params, -1.0, 1.0, Resolution(m=120))
+    coarse = gap_probability(params, -1.0, 1.0, 60)
+    fine = gap_probability(params, -1.0, 1.0, 120)
     assert abs(coarse - fine) <= 1e-7
 
 
@@ -46,4 +54,4 @@ def test_gap_uses_the_shared_nystrom_determinant(params):
     m = 24
     rule = affine_map_rule(gauss_legendre_rule(m), -1.0, 0.5)
     kmat = kernel_grid(params, rule.nodes, rule.nodes)
-    assert gap_probability(params, -1.0, 0.5, Resolution(m)) == symmetrized_determinant(kmat, rule.weights)
+    assert gap_probability(params, -1.0, 0.5, m) == symmetrized_determinant(kmat, rule.weights)

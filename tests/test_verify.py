@@ -67,6 +67,17 @@ def test_equivalence_suite_passes():
     assert tight and tight[0].max_residual <= 1e-6
 
 
+def test_equivalence_certifies_the_sets_it_is_given():
+    reports = check_equivalence([1.5], [0.3], [0.1], points=(0.0,), res=RES)
+    assert [r.name for r in reports[:2]] == [
+        "kernel_equivalence_lam=1.5_Sigma=0.3_tau=0.1",
+        "kernel_tail_equivalence_lam=1.5_Sigma=0.3_tau=0.1",
+    ]
+    # sets of unequal length are an error, not a silent truncation
+    with pytest.raises(ValueError):
+        check_equivalence([1.0, 2.0], [0.3], [0.1], points=(0.0,), res=RES)
+
+
 def test_compat_suite_passes_on_both_instances():
     for args in ((1.2, 0.9, SParam(1.3, 0.8, 0.4), 0.3), (1.0, 1.0, SParam(1.0, 1.0, 0.5), 0.0)):
         reports = check_compat(*args, res=RES)
