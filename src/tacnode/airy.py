@@ -18,8 +18,7 @@ Three branches:
 * ``-1e3 <= x < -7.5`` -- the modulus/phase asymptotic expansion.
 
 The branch point 7.5 is where the optimally truncated asymptotic series
-first reaches ~1e-13 relative accuracy.  The error budget is unchanged from
-the double-double Maclaurin series that the Taylor branch replaces: <= 1e-12
+first reaches ~1e-13 relative accuracy.  The error budget is <= 1e-12
 relative for x >= 0 and <= 1e-12 absolute on [-15, 0).  The Taylor branch
 stays within a few float64 ulps of mpmath (2.3e-16 relative on [0, 7.5] and
 1.1e-16 absolute on [-7.5, 0) over 3,001 points and every centre and
@@ -171,8 +170,14 @@ def _taylor_pair(x):
 
 
 def _asymptotic_right(x):
-    """(Ai, Ai') for x > 7.5: exponential asymptotic expansion."""
-    zeta = (2.0 / 3.0) * x**1.5
+    """(Ai, Ai') for x > 7.5: exponential asymptotic expansion.
+
+    Beyond about 3.2e205 ``x**1.5`` overflows to inf; ``exp(-inf) = 0`` then
+    gives the values that Ai and Ai' underflowed to long before.
+    """
+    with np.errstate(over="ignore"):
+        zeta = (2.0 / 3.0) * x**1.5
+        pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
     inv = 1.0 / zeta
     sa = np.ones_like(x)
     sd = np.ones_like(x)
@@ -181,8 +186,6 @@ def _asymptotic_right(x):
         sa += _SU[k] * pw
         sd += _SV[k] * pw
         pw *= inv
-    with np.errstate(over="ignore"):
-        pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
     root = x**0.25
     return pre / root * sa, -pre * root * sd
 

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -231,22 +231,27 @@ class AiryResolvent:
         return self.extend(self.resolvent_matrix[:, j], lambda t: airy_kernel_shifted(self.sigma, t, self.nodes[j]), x)
 
 
-def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), strict: bool = False) -> AiryResolvent:
-    """Discretize ``(I - K_sigma)^{-1}`` and precompute its derived data.
+def build_airy_resolvents(sigmas, resolution: Resolution = Resolution()) -> Iterator[AiryResolvent]:
+    """Discretize ``(I - K_sigma)^{-1}`` at each shift of ``sigmas``, yielding the resolvents in order.
 
-    Raises ``UnsupportedRangeError`` below ``sigma = -8`` and
-    ``SingularResolventError`` once det(I - K) falls under 1e-8, where the
-    linear solves no longer carry enough digits; a NaN shift or
-    determinant fails the same guards.  With ``strict=True`` the
-    build is repeated at T + 4 and a drift of more than 1e-10 in ``q`` or
-    the determinant raises ``TruncationInsufficientError``.
+    Every shift is checked against ``SIGMA_MIN`` before any work is done
+    (a NaN shift fails the check), and one Airy call on the stacked
+    grids ``[0, nodes] + sigma`` serves all of them.  The determinant
+    guard and the solves of each shift run as the iterator reaches it, so
+    only one ``m x m`` system is held at a time.
     """
-    sigma = float(sigma)
-    if not sigma >= SIGMA_MIN:
-        raise UnsupportedRangeError(f"shift {sigma} is not at or above the supported minimum {SIGMA_MIN}")
+    sigmas = np.array(sigmas, dtype=float, ndmin=1)
+    low = sigmas[~(sigmas >= SIGMA_MIN)]
+    if low.size:
+        raise UnsupportedRangeError(f"shift {low[0]} is not at or above the supported minimum {SIGMA_MIN}")
     rule = _ray_rule(resolution.m, resolution.T)
+    ai, aip = airy_ai_pair(np.concatenate(([0.0], rule.nodes)) + sigmas[:, None])
+    return map(functools.partial(_assemble, resolution, rule), sigmas.tolist(), ai, aip)
+
+
+def _assemble(resolution: Resolution, rule: QuadratureRule, sigma: float, ai, aip) -> AiryResolvent:
+    """The resolvent at ``sigma`` from ``Ai`` and ``Ai'`` at 0 and the shifted nodes."""
     x, w = rule.nodes, rule.weights
-    ai, aip = airy_ai_pair(np.concatenate(([0.0], x)) + sigma)
     ai0, aip0, ai_nodes, aip_nodes = float(ai[0]), float(aip[0]), ai[1:], aip[1:]
     system = _nystrom_system(_kernel_matrix(x, sigma, ai_nodes, aip_nodes), w)
 
@@ -261,20 +266,33 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), st
     p = float(aip0 + k0 @ (w * pvec))
     u = float(w @ (qvec * ai_nodes))
     v = float(w @ (qvec * aip_nodes))
-    ar = AiryResolvent(sigma=sigma, resolution=resolution, rule=rule, det=det, r0=r0, qvec=qvec, pvec=pvec,
-                       q=q, p=p, u=u, v=v, ai_nodes=ai_nodes, aip_nodes=aip_nodes, ai0=ai0, aip0=aip0,
-                       _system=system)
+    return AiryResolvent(sigma=sigma, resolution=resolution, rule=rule, det=det, r0=r0, qvec=qvec, pvec=pvec,
+                         q=q, p=p, u=u, v=v, ai_nodes=ai_nodes, aip_nodes=aip_nodes, ai0=ai0, aip0=aip0,
+                         _system=system)
+
+
+def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), strict: bool = False) -> AiryResolvent:
+    """Discretize ``(I - K_sigma)^{-1}`` and precompute its derived data: :func:`build_airy_resolvents` at one shift.
+
+    Raises ``UnsupportedRangeError`` below ``sigma = -8`` and
+    ``SingularResolventError`` once det(I - K) falls under 1e-8, where the
+    linear solves no longer carry enough digits; a NaN shift or
+    determinant fails the same guards.  With ``strict=True`` the
+    build is repeated at T + 4 and a drift of more than 1e-10 in ``q`` or
+    the determinant raises ``TruncationInsufficientError``.
+    """
+    (ar,) = build_airy_resolvents([float(sigma)], resolution)
     if strict:
         wide = build_airy_resolvent(sigma, Resolution(resolution.m, resolution.T + 4.0))
-        if abs(wide.q - q) > 1e-10 or abs(wide.det - det) > 1e-10:
+        if abs(wide.q - ar.q) > 1e-10 or abs(wide.det - ar.det) > 1e-10:
             raise TruncationInsufficientError(
-                f"T = {resolution.T} truncates visible mass at sigma = {sigma}: "
-                f"dq = {wide.q - q:.3e}, ddet = {wide.det - det:.3e}"
+                f"T = {resolution.T} truncates visible mass at sigma = {ar.sigma}: "
+                f"dq = {wide.q - ar.q:.3e}, ddet = {wide.det - ar.det:.3e}"
             )
     return ar
 
 
-@functools.lru_cache(maxsize=48)
+@functools.lru_cache(maxsize=23)
 def _cached_build(sigma: float, m: int, T: float) -> AiryResolvent:
     return build_airy_resolvent(sigma, Resolution(m, T))
 
@@ -282,16 +300,44 @@ def _cached_build(sigma: float, m: int, T: float) -> AiryResolvent:
 def get_resolvent(sigma: float, resolution: Resolution = Resolution()) -> AiryResolvent:
     """Memoized :func:`build_airy_resolvent`; safe because resolvents are immutable.
 
-    The cache keeps the 48 most recently used resolvents.  The largest
-    working set in the package is ``resolvent_form.kernel_tail``: it visits
-    the ``TailSpec().m = 40`` shifts of its tail rule once per kernel point,
-    so ``verify.check_equivalence`` cycles through about 42 resolvents.
-    At 48 entries that makes no more builds than an unbounded cache; at 36,
-    LRU eviction makes every revisit a miss (120 extra builds on a 2 x 2
-    point set).  The bound matters because a resolvent holds about 0.2 MiB
-    once its smoothing matrices are in use: 0.05 MiB when built, nearly all
-    of it the 80 x 80 system ``I - K W``, and 0.05 MiB more for each of
+    The cache keeps the 23 most recently used resolvents: the largest
+    working set in the package, measured as the smallest cap at which
+    ``verify.run_suite("all")`` makes no more builds than an unbounded cache
+    (59 builds).  It is the ``tw`` suite's: its later checks revisit the 5
+    base shifts and the stencil points around them after the Painleve
+    residuals have visited 20 more.  The other suites need 6
+    (``resolvent``), 3 (``rh``), 1 (``equivalence``) and 7 (``compat``);
+    the tail integrals keep no resolvents (see :func:`get_boundary_rows`).
+    The bound matters because a resolvent holds about 0.2 MiB once its
+    smoothing matrices are in use: 0.05 MiB when built, nearly all of it
+    the 80 x 80 system ``I - K W``, and 0.05 MiB more for each of
     ``smoothing``, ``smoothing_prime`` and ``resolvent_matrix`` once read.
-    The tail integrals read none of them, so theirs stay at 0.05 MiB.
     """
     return _cached_build(float(sigma), resolution.m, resolution.T)
+
+
+@functools.lru_cache(maxsize=5)
+def _cached_rows(sigmas: tuple[float, ...], m: int, T: float) -> tuple[np.ndarray, np.ndarray]:
+    r0 = np.empty((len(sigmas), m))
+    qvec = np.empty_like(r0)
+    for k, ar in enumerate(build_airy_resolvents(sigmas, Resolution(m, T))):
+        r0[k], qvec[k] = ar.r0, ar.qvec
+    r0.setflags(write=False)
+    qvec.setflags(write=False)
+    return r0, qvec
+
+
+def get_boundary_rows(sigmas, resolution: Resolution = Resolution()) -> tuple[QuadratureRule, np.ndarray, np.ndarray]:
+    """The rule and the stacked ``r0`` and ``qvec`` rows of the resolvents at ``sigmas``, one row per shift.
+
+    Memoized on the whole tuple of shifts: a shift-integrated kernel
+    visits the same shifts for every kernel point, and needs only these
+    two rows of each resolvent.  The cache holds the read-only row arrays
+    (about 51 KB for the 40 shifts of a tail at ``m = 80``), never the
+    resolvents, which :func:`build_airy_resolvents` makes one at a time.
+    It keeps 5 entries, the working set of ``verify.run_suite("all")``
+    measured like that of :func:`get_resolvent`: its 5 tails, two of which
+    the ``equivalence`` suite revisits after the ``rh`` suite's three.
+    """
+    sigmas = tuple(np.asarray(sigmas, dtype=float).tolist())
+    return (_ray_rule(resolution.m, resolution.T), *_cached_rows(sigmas, resolution.m, resolution.T))

@@ -20,7 +20,8 @@ v side once.
 The boundary functionals ``phat`` need no smoothing matrix: the smoothed
 boundary row of the resolvent is ``Q`` (see ``AiryResolvent``), so they are
 integrals of the profiles against ``r0`` and ``qvec``.  ``kernel_tail``
-does all shifts of its rule at once, with one Airy call per side.
+does all shifts of its rule at once, with one Airy call per side, against
+the stacked boundary rows of the rule's shifts, built in one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_resolvent
+from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_boundary_rows, get_resolvent
 from .errors import MultiTimeUnsupportedError
 from .quadrature import TailSpec, _check_tail_mass, affine_map_rule, gauss_legendre_rule
 
@@ -79,8 +80,8 @@ class ResolventParams:
         tau2: float | None = None,
         resolution: Resolution = Resolution(),
     ) -> "ResolventParams":
-        if not lam > 0:
-            raise ValueError(f"asymmetry parameter must be positive, got {lam}")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"asymmetry parameter must be positive and finite, got {lam}")
         if (Sigma is None) == (sigma is None):
             raise ValueError("exactly one of Sigma and sigma must be given")
         if sigma is None:
@@ -298,15 +299,15 @@ def kernel_tail(params: ResolventParams, u: float, v: float, tail: TailSpec = Ta
     ``TruncationInsufficientError`` if it ever is not.  All shifts of the
     rule are done at once: ``Sigma`` is a column over the shifts, each side's
     profiles come from one Airy call, and the boundary functionals contract
-    them with the stacked ``r0`` and ``qvec`` rows of the shifts' resolvents.
+    them with the stacked ``r0`` and ``qvec`` rows that
+    :func:`~tacnode.airy_operator.get_boundary_rows` builds for the whole
+    rule in one pass.
     """
     rule = affine_map_rule(gauss_legendre_rule(tail.m), params.sigma, params.sigma + tail.S)
     lam = params.lam
-    ars = [get_resolvent(s, params.resolution) for s in rule.nodes]
-    r0 = np.array([ar.r0 for ar in ars])
-    qvec = np.array([ar.qvec for ar in ars])
-    w = params.resolvent.weights
-    x = np.concatenate(([0.0], params.resolvent.nodes))
+    grid, r0, qvec = get_boundary_rows(rule.nodes, params.resolution)
+    w = grid.weights
+    x = np.concatenate(([0.0], grid.nodes))
     Sigma = interaction_from_sigma(lam, rule.nodes)[:, None]
     p1u, p2u = _phat_pair(lam, w, r0, qvec, *_b_pair(params, params.tau1, u, x, Sigma))
     p1v, p2v = _phat_pair(lam, w, r0, qvec, *_b_pair(params, -params.tau2, v, x, Sigma))

@@ -9,13 +9,14 @@ Painleve II expressions.  Entries three and four of ``p`` are purely
 imaginary for real data, so ``i p_3`` and ``i p_4`` are stored as reals and
 the imaginary units are folded into the kernel formula analytically.
 
-One Airy call serves each profile set: ``_profile_pair`` gives the tilde
+One Airy call serves each profile set: ``_profiles`` gives the tilde
 and plain profiles with their z-derivatives together, and one product by
 the smoothing matrix smooths them all where a smoothed profile is needed.
 The ``p`` vector needs none: the smoothed boundary row of the resolvent is
 ``Q`` (see ``AiryResolvent``), so ``p1`` and ``p2`` are integrals of the
 profiles against ``r0`` and ``qvec``.  ``kernel_tail`` does all shifts of
-its rule at once, with one Airy call per side.
+its rule at once, with one Airy call per side, against the stacked boundary
+rows of the rule's shifts, built in one pass.
 
 Parameters: scale factors ``r1, r2 > 0``, endpoint parameters ``s1, s2``,
 time ``tau``; derived constants::
@@ -33,12 +34,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_resolvent
+from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_boundary_rows, get_resolvent
 from .errors import MismatchedParamsError
 from .quadrature import TailSpec, _check_tail_mass, affine_map_rule, gauss_legendre_rule
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DIAGONAL_EPS = 1e-6
+
+
+def _constants(r1: float, r2: float, s1: float, s2: float, tau: float) -> tuple[float, float, float]:
+    """The derived constants ``(C, D, sigma)`` of the module docstring, for finite positive scale factors."""
+    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+        raise ValueError(f"scale factors must be positive and finite, got r1={r1}, r2={r2}")
+    C = (r1**-2.0 + r2**-2.0) ** (1.0 / 3.0)
+    D = math.sqrt(r1 / r2) * math.exp((r1**4 - r2**4) * tau**3 / 3.0 + 2.0 * (r2 * s2 - r1 * s1) * tau)
+    sigma = (2.0 * (s1 / r1 + s2 / r2) - (r1**2 + r2**2) * tau**2) / C
+    return C, D, sigma
 
 
 @dataclass(frozen=True)
@@ -66,11 +77,7 @@ class RHParams:
         tau: float = 0.0,
         resolution: Resolution = Resolution(),
     ) -> "RHParams":
-        if not (r1 > 0 and r2 > 0):
-            raise ValueError(f"scale factors must be positive, got r1={r1}, r2={r2}")
-        C = (r1**-2.0 + r2**-2.0) ** (1.0 / 3.0)
-        D = math.sqrt(r1 / r2) * math.exp((r1**4 - r2**4) * tau**3 / 3.0 + 2.0 * (r2 * s2 - r1 * s1) * tau)
-        sigma = (2.0 * (s1 / r1 + s2 / r2) - (r1**2 + r2**2) * tau**2) / C
+        C, D, sigma = _constants(r1, r2, s1, s2, tau)
         return cls(
             r1=float(r1),
             r2=float(r2),
@@ -110,8 +117,8 @@ def from_resolvent_params(lam: float, Sigma: float, tau: float, resolution: Reso
     ``s1 = lam^{3/4}(Sigma + tau^2)/2``, ``s2 = (Sigma + tau^2)/2``; the two
     forms then share the same ``C`` and shift ``sigma``.
     """
-    if not lam > 0:
-        raise ValueError(f"asymmetry parameter must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"asymmetry parameter must be positive and finite, got {lam}")
     half = 0.5 * (Sigma + tau * tau)
     return RHParams.create(lam**0.25, 1.0, lam**0.75 * half, half, tau, resolution)
 
@@ -129,17 +136,18 @@ def _z_derivs(r: float, zsign: float, tau: float, env, arg, ai, aip, order: int)
     return b, db, d2b
 
 
-def _profile_pair(params: RHParams, z: float, x, order: int, s1=None, s2=None):
+def _profile_pair(params: RHParams, z: float, x, order: int):
+    """Tilde and plain profiles of ``params`` at ``x``: :func:`_profiles` with its constants."""
+    return _profiles(params.r1, params.r2, params.s1, params.s2, params.tau, params.C, z, x, order)
+
+
+def _profiles(r1: float, r2: float, s1, s2, tau: float, C: float, z: float, x, order: int):
     """Tilde and plain profiles at ``x`` with ``order`` z-derivatives, from one Airy call.
 
-    Returns two tuples of ``order + 1`` arrays, tilde first.  The endpoints
-    ``s1``, ``s2`` default to those of ``params``; columns of them against
-    a row of points give one profile per row.
+    Returns two tuples of ``order + 1`` arrays, tilde first.  Columns of
+    endpoints ``s1``, ``s2`` against a row of points give one profile per row.
     """
-    tau, r1, r2 = params.tau, params.r1, params.r2
-    s1 = params.s1 if s1 is None else s1
-    s2 = params.s2 if s2 is None else s2
-    cx = params.C * x
+    cx = C * x
     arg_t = r1 ** (2.0 / 3.0) * (-z + cx + 2.0 * s1 / r1)
     arg_p = r2 ** (2.0 / 3.0) * (z + cx + 2.0 * s2 / r2)
     ai, aip = airy_ai_pair(np.stack((arg_t, arg_p)))
@@ -327,26 +335,28 @@ def kernel_tail(
 ) -> float:
     """RH-form kernel reconstructed by integrating its rank-2 s-derivative.
 
-    All shifts of the rule are done at once: ``s1``, ``s2`` and ``D`` are
-    columns over the shifts, each side's profiles come from one Airy call,
+    All shifts of the rule are done at once, with no parameter bundle per
+    shift: ``s1``, ``s2``, ``D`` at ``+tau`` and ``-tau`` and the shift
+    ``sigma`` are columns over the rule, from the formulas that
+    :class:`RHParams` uses.  Each side's profiles come from one Airy call,
     and the boundary functionals contract them with the stacked ``r0`` and
-    ``qvec`` rows of the shifts' resolvents.
+    ``qvec`` rows that :func:`~tacnode.airy_operator.get_boundary_rows`
+    builds for all shifts in one pass; ``sigma`` does not depend on the
+    sign of ``tau``, so both sides share them.
     """
     if not (sp.sigma1 > 0 and sp.sigma2 > 0):
         raise ValueError("tail integration requires positive endpoint multipliers")
     rule = affine_map_rule(gauss_legendre_rule(tail.m), sp.s, sp.s + tail.S)
-    plus = [sp.at(s).rh_params(r1, r2, tau, resolution) for s in rule.nodes]
-    minus = [pp.with_tau(-tau) for pp in plus]
-    r0 = np.array([pp.resolvent.r0 for pp in plus])
-    qvec = np.array([pp.resolvent.qvec for pp in plus])
-    ar = plus[0].resolvent
-    x = np.concatenate(([0.0], ar.nodes))
-    s1 = np.array([pp.s1 for pp in plus])[:, None]
-    s2 = np.array([pp.s2 for pp in plus])[:, None]
-    (btu,), (bu,) = _profile_pair(plus[0], u, x, 0, s1, s2)
-    (btv,), (bv,) = _profile_pair(minus[0], v, x, 0, s1, s2)
-    p1u, p2u = _boundary_pair(ar.weights, r0, qvec, np.array([pp.D for pp in plus]), btu, bu)
-    p1v, p2v = _boundary_pair(ar.weights, r0, qvec, np.array([pm.D for pm in minus]), btv, bv)
+    s1, s2 = sp.sigma1 * rule.nodes, sp.sigma2 * rule.nodes
+    # one row (C, D, sigma) per shift; C is one constant, and sigma does not see the sign of tau
+    plus, minus = (np.array([_constants(r1, r2, a, b, t) for a, b in zip(s1, s2)]) for t in (tau, -tau))
+    C, sigma = plus[0, 0], plus[:, 2]
+    grid, r0, qvec = get_boundary_rows(sigma, resolution)
+    x = np.concatenate(([0.0], grid.nodes))
+    (btu,), (bu,) = _profiles(r1, r2, s1[:, None], s2[:, None], tau, C, u, x, 0)
+    (btv,), (bv,) = _profiles(r1, r2, s1[:, None], s2[:, None], -tau, C, v, x, 0)
+    p1u, p2u = _boundary_pair(grid.weights, r0, qvec, plus[:, 1], btu, bu)
+    p1v, p2v = _boundary_pair(grid.weights, r0, qvec, minus[:, 1], btv, bv)
     values = (sp.sigma1 * p1u * p1v + sp.sigma2 * p2u * p2v) / math.pi
     total = float(rule.weights @ values)
     _check_tail_mass(rule.weights[-1] * values[-1], total, rule.nodes[-1])

@@ -42,8 +42,13 @@ def oracle_airy(x, terms: int = 200, dps: int = 60):
 
 @pytest.fixture
 def fresh_resolvent_cache(monkeypatch):
-    """An empty resolvent cache of the package's size, in place of the shared one for one test."""
-    shared = airy_operator._cached_build
-    cache = functools.lru_cache(maxsize=shared.cache_info().maxsize)(shared.__wrapped__)
-    monkeypatch.setattr(airy_operator, "_cached_build", cache)
-    return cache
+    """Empty resolvent and boundary-row caches of the package's sizes, in place of the shared ones for one test.
+
+    Returns the two caches, resolvents first.
+    """
+    caches = []
+    for name in ("_cached_build", "_cached_rows"):
+        shared = getattr(airy_operator, name)
+        caches.append(functools.lru_cache(maxsize=shared.cache_info().maxsize)(shared.__wrapped__))
+        monkeypatch.setattr(airy_operator, name, caches[-1])
+    return tuple(caches)

@@ -120,6 +120,16 @@ def test_non_finite_inputs():
     assert math.isnan(airy_ai_prime(-math.inf))
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_arguments_underflow_to_zero():
+    # x**1.5 overflows past about 3.2e205; Ai and Ai' underflowed to 0 long before
+    xs = np.array([1e3, 1e200, 1e300, np.finfo(float).max])
+    ai, aip = airy_ai_pair(xs)
+    assert np.all(ai == 0.0) and np.all(aip == 0.0)
+    for x in xs:
+        assert airy_ai_pair(float(x)) == (0.0, 0.0)
+
+
 def test_left_branch_ends_at_minus_1e3():
     # the modulus/phase expansion loses absolute digits with its growing phase;
     # below -1e3 it would leave the error budget without a warning

@@ -15,11 +15,15 @@ from tacnode.airy_operator import (
     Resolution,
     airy_kernel_shifted,
     build_airy_resolvent,
+    build_airy_resolvents,
+    get_boundary_rows,
     get_resolvent,
     symmetrized_determinant,
 )
 from tacnode.errors import SingularResolventError, TruncationInsufficientError, UnsupportedRangeError
-from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
+from tacnode.quadrature import TailSpec, affine_map_rule, gauss_legendre_rule
+from tacnode.resolvent_form import sigma_from_interaction
+from tacnode.rh_form import SParam
 
 # frozen oracle values: rebuild at (m, T) = (160, 24), cross-checked at (220, 28)
 Q_AT_ZERO = 0.367061551548078
@@ -259,23 +263,65 @@ def test_concurrent_solves_match_serial_bit_for_bit():
 
 
 def test_resolvent_cache_cap_holds_the_verify_working_set(monkeypatch):
-    # a kernel tail integral revisits its 40 shifts for every (u, v) pair
-    checks = (verify.check_rh_kernel, lambda: verify.check_equivalence([1.0], [1.0], [0.1], points=(-0.5, 0.5)))
-    uncached = airy_operator._cached_build.__wrapped__
+    # each cap is the measured working set of the full suite: one entry less costs builds
+    shared = (airy_operator._cached_build, airy_operator._cached_rows)
+    caps = tuple(cache.cache_info().maxsize for cache in shared)
 
-    def misses(maxsize):
-        """Resolvent builds of each check, started from an empty cache of ``maxsize`` entries."""
-        counts = []
-        for check in checks:
-            cache = functools.lru_cache(maxsize=maxsize)(uncached)
-            monkeypatch.setattr(airy_operator, "_cached_build", cache)
-            check()
-            counts.append(cache.cache_info().misses)
-        return counts
+    def misses(*sizes):
+        """Resolvent builds and boundary-row builds of the full suite, from empty caches of the given sizes."""
+        caches = [functools.lru_cache(maxsize=size)(cache.__wrapped__) for cache, size in zip(shared, sizes)]
+        for name, cache in zip(("_cached_build", "_cached_rows"), caches):
+            monkeypatch.setattr(airy_operator, name, cache)
+        verify.run_suite("all")
+        return tuple(cache.cache_info().misses for cache in caches)
 
-    capped = misses(airy_operator._cached_build.cache_info().maxsize)
-    assert capped == misses(None)
-    assert misses(36)[1] > capped[1]
+    capped = misses(*caps)
+    assert capped == misses(None, None)
+    smaller = misses(caps[0] - 1, caps[1] - 1)
+    assert smaller[0] > capped[0] and smaller[1] > capped[1]
+
+
+@pytest.mark.parametrize("form", ["resolvent", "rh"])
+def test_batched_rows_equal_single_builds(fresh_resolvent_cache, form):
+    # the 40 shifts of a tail of each form: a rule over sigma, and sigma(s) over a rule in s
+    tail = TailSpec()
+    if form == "resolvent":
+        sigma = sigma_from_interaction(1.4, 0.6)
+        shifts = affine_map_rule(gauss_legendre_rule(tail.m), sigma, sigma + tail.S).nodes
+    else:
+        sp = SParam(0.9, 1.2, 0.45)
+        s_nodes = affine_map_rule(gauss_legendre_rule(tail.m), sp.s, sp.s + tail.S).nodes
+        shifts = np.array([sp.at(s).rh_params(1.1, 0.95, 0.2).sigma for s in s_nodes])
+    rule, r0, qvec = get_boundary_rows(shifts)
+    assert r0.shape == qvec.shape == (len(shifts), Resolution().m)
+    assert not r0.flags.writeable and not qvec.flags.writeable
+    for k, (s, ar) in enumerate(zip(shifts, build_airy_resolvents(shifts))):
+        single = build_airy_resolvent(s)
+        assert ar.sigma == single.sigma == s and rule is single.rule
+        assert np.array_equal(r0[k], single.r0) and np.array_equal(qvec[k], single.qvec)
+        assert np.array_equal(ar.r0, single.r0) and np.array_equal(ar.pvec, single.pvec)
+        assert (ar.det, ar.q, ar.p, ar.u, ar.v) == (single.det, single.q, single.p, single.u, single.v)
+
+
+@pytest.mark.parametrize("bad", [airy_operator.SIGMA_MIN - 0.5, math.nan])
+def test_batched_build_checks_every_shift_before_any_airy_call(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(airy_operator, "airy_ai_pair", calls.append)
+    for build in (build_airy_resolvents, get_boundary_rows):
+        with pytest.raises(UnsupportedRangeError):
+            build([0.0, 1.5, bad, 2.0])
+    assert calls == []
+
+
+def test_batched_build_stops_at_the_first_singular_shift(fresh_resolvent_cache):
+    res = Resolution(8, 16.0)  # under-resolved: det(I - K) < 0 on [-5, -3.75]
+    built = build_airy_resolvents([0.0, -4.0, -4.5], res)
+    assert next(built).sigma == 0.0
+    with pytest.raises(SingularResolventError, match=r"at sigma = -4\.0 "):
+        next(built)
+    with pytest.raises(SingularResolventError, match=r"at sigma = -4\.0 "):
+        get_boundary_rows([0.0, -4.0, -4.5], res)
+    assert fresh_resolvent_cache[1].cache_info().currsize == 0
 
 
 _NUMPY_ONLY = textwrap.dedent("""

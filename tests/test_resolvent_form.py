@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import tacnode.resolvent_form as rf
+from tacnode import airy_operator
 from tacnode.airy import airy_ai
-from tacnode.airy_operator import Resolution, get_resolvent
+from tacnode.airy_operator import Resolution
 from tacnode.errors import MultiTimeUnsupportedError, TruncationInsufficientError
 from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
 from tacnode.resolvent_form import (
@@ -43,8 +44,9 @@ def test_parameter_invariants(sym, skew):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        ResolventParams.create(-1.0, Sigma=1.0)
+    for lam in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ResolventParams.create(lam, Sigma=1.0)
     with pytest.raises(ValueError):
         ResolventParams.create(1.0)
     with pytest.raises(ValueError):
@@ -144,23 +146,30 @@ def test_phat_equals_boundary_row_of_script_a(sigma, tol):
 
 
 def test_tail_makes_one_airy_call_per_side_and_no_smoothing(fresh_resolvent_cache, monkeypatch):
+    resolvents, rows = fresh_resolvent_cache
     p = ResolventParams.create(1.4, Sigma=0.6, tau1=0.1, tau2=0.35)
-    calls = []
-    airy = rf.airy_ai_pair
+    profile_calls, batched_calls = [], []
 
-    def counted(x):
-        calls.append(x)
-        return airy(x)
+    def counting(airy, calls):
+        def counted(x):
+            calls.append(np.shape(x))
+            return airy(x)
+        return counted
 
-    monkeypatch.setattr(rf, "airy_ai_pair", counted)
+    def no_smoothing(ar, part):
+        raise AssertionError("the tail built a smoothing matrix")
+
+    monkeypatch.setattr(rf, "airy_ai_pair", counting(rf.airy_ai_pair, profile_calls))
+    monkeypatch.setattr(airy_operator, "airy_ai_pair", counting(airy_operator.airy_ai_pair, batched_calls))
+    monkeypatch.setattr(airy_operator.AiryResolvent, "_node_sum_matrix", no_smoothing)
+    lookups = resolvents.cache_info()
     kernel_tail(p, 0.4, -0.3)
-    assert len(calls) == 2  # the u side and the v side, all shifts in each
-    rule = affine_map_rule(gauss_legendre_rule(TailSpec().m), p.sigma, p.sigma + TailSpec().S)
-    misses = fresh_resolvent_cache.cache_info().misses
-    for s in rule.nodes:
-        ar = get_resolvent(s, p.resolution)
-        assert "_smoothing" not in vars(ar) and "_smoothing_prime" not in vars(ar)
-    assert fresh_resolvent_cache.cache_info().misses == misses  # these were the tail's own resolvents
+    assert len(profile_calls) == 2  # the u side and the v side, all shifts in each
+    assert batched_calls == [(TailSpec().m, p.resolution.m + 1)]  # every shift's build from one Airy call
+    kernel_tail(p, -0.2, 0.7)  # the rows cache is warm now
+    assert len(profile_calls) == 4 and len(batched_calls) == 1
+    assert rows.cache_info().misses == 1 and rows.cache_info().hits == 1
+    assert resolvents.cache_info() == lookups  # no get_resolvent lookup per shift
 
 
 @pytest.mark.parametrize("tau1, tau2", [(0.0, 0.0), (0.3, 0.3), (0.1, 0.35), (0.35, -0.1)])

@@ -7,6 +7,7 @@ import pytest
 
 import tacnode.resolvent_form as rf
 import tacnode.rh_form as rh
+from tacnode import airy_operator
 from tacnode.airy_operator import Resolution
 from tacnode.errors import MismatchedParamsError
 from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
@@ -46,10 +47,15 @@ def test_symmetric_case_constants(sym):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        RHParams.create(-1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        from_resolvent_params(0.0, 1.0, 0.0)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RHParams.create(bad, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            RHParams.create(1.0, bad, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            from_resolvent_params(bad, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            kernel_tail(SParam(1.0, 1.0, 0.5), bad, 1.0, 0.0, 0.0, 1.0)
 
 
 def test_map_from_resolvent_parameters():
@@ -165,23 +171,30 @@ def test_p_vector_equals_boundary_row_of_script_a(sigma, tol):
 
 
 def test_tail_makes_one_airy_call_per_side_and_no_smoothing(fresh_resolvent_cache, monkeypatch):
+    resolvents, rows = fresh_resolvent_cache
     sp, tau = SParam(0.9, 1.2, 0.45), 0.2
-    calls = []
-    airy = rh.airy_ai_pair
+    profile_calls, batched_calls = [], []
 
-    def counted(x):
-        calls.append(x)
-        return airy(x)
+    def counting(airy, calls):
+        def counted(x):
+            calls.append(np.shape(x))
+            return airy(x)
+        return counted
 
-    monkeypatch.setattr(rh, "airy_ai_pair", counted)
+    def no_smoothing(ar, part):
+        raise AssertionError("the tail built a smoothing matrix")
+
+    monkeypatch.setattr(rh, "airy_ai_pair", counting(rh.airy_ai_pair, profile_calls))
+    monkeypatch.setattr(airy_operator, "airy_ai_pair", counting(airy_operator.airy_ai_pair, batched_calls))
+    monkeypatch.setattr(airy_operator.AiryResolvent, "_node_sum_matrix", no_smoothing)
     kernel_tail(sp, 1.1, 0.95, tau, 0.3, -0.4)
-    assert len(calls) == 2  # the u side and the v side, all shifts in each
-    rule = affine_map_rule(gauss_legendre_rule(TailSpec().m), sp.s, sp.s + TailSpec().S)
-    misses = fresh_resolvent_cache.cache_info().misses
-    for s in rule.nodes:
-        ar = sp.at(s).rh_params(1.1, 0.95, tau).resolvent
-        assert "_smoothing" not in vars(ar) and "_smoothing_prime" not in vars(ar)
-    assert fresh_resolvent_cache.cache_info().misses == misses  # these were the tail's own resolvents
+    assert len(profile_calls) == 2  # the u side and the v side, all shifts in each
+    # one build pass serves both signs of tau, whose shifts coincide
+    assert batched_calls == [(TailSpec().m, Resolution().m + 1)]
+    kernel_tail(sp, 1.1, 0.95, tau, -0.6, 0.1)  # the rows cache is warm now
+    assert len(profile_calls) == 4 and len(batched_calls) == 1
+    assert rows.cache_info().misses == 1 and rows.cache_info().hits == 1
+    assert resolvents.cache_info().currsize == 0  # no parameter bundle, so no get_resolvent lookup, per shift
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.2, -0.15])
