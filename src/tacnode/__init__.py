@@ -17,7 +17,7 @@ from .airy_operator import (
     airy_kernel_shifted,
     build_airy_resolvent,
     get_resolvent,
-    symmetrized_determinant,
+    nystrom_determinant,
 )
 from .errors import (
     CacheInvalidError,
@@ -40,7 +40,7 @@ __all__ = [
     "airy_ai", "airy_ai_pair", "airy_ai_prime",
     "QuadratureRule", "gauss_legendre_rule", "affine_map_rule",
     "Resolution", "AiryResolvent", "airy_kernel_shifted", "build_airy_resolvent",
-    "get_resolvent", "symmetrized_determinant",
+    "get_resolvent", "nystrom_determinant",
     "hastings_mcleod", "hm_derivative", "hamiltonian", "f2_det",
     "ResolventParams", "TailSpec",
     "RHParams", "SParam", "ResidueEntries", "residue_matrix",

@@ -76,7 +76,7 @@ def _nystrom_system(kmat: np.ndarray, w: np.ndarray) -> np.ndarray:
     return system
 
 
-def symmetrized_determinant(kmat: np.ndarray, weights: np.ndarray) -> float:
+def nystrom_determinant(kmat: np.ndarray, weights: np.ndarray) -> float:
     """``det(I - K W)``, equal to the similar symmetrised ``det(I - W^{1/2} K W^{1/2})``; ``kmat`` may be asymmetric."""
     return float(np.linalg.det(_nystrom_system(kmat, weights)))
 

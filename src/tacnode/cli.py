@@ -175,9 +175,8 @@ def _cmd_kernel(args) -> int:
     if args.strict:
         build_airy_resolvent(params.sigma, resolution, strict=True)
 
-    # row by row against one v side: each row is bit-identical to kernel_grid(params, [u], vs)[0]
-    columns = kernel_columns(params, vs)
-    values = np.vstack([kernel_rows(params, columns, [u]) for u in us])
+    # one v side and one call for all rows; each row is bit-identical to kernel_grid(params, [u], vs)[0]
+    values = kernel_rows(params, kernel_columns(params, vs), us)
     meta = {
         "lambda": params.lam, "Sigma": params.Sigma, "sigma": params.sigma,
         "tau1": params.tau1, "tau2": params.tau2, "m": args.m, "T": args.T,

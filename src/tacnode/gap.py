@@ -3,7 +3,7 @@
 The probability of seeing no points in ``(a1, a2)`` is the Fredholm
 determinant of the kernel restricted to that interval.  It is taken on a
 Gauss-Legendre rule by the operator layer's one Nystrom determinant,
-``airy_operator.symmetrized_determinant``: ``np.linalg.det`` of ``I - K W``,
+``airy_operator.nystrom_determinant``: ``np.linalg.det`` of ``I - K W``,
 a pivoted LU that needs no symmetry (the process is not time-reversible).
 Only finite intervals are supported: toward minus infinity the kernel
 enters the oscillatory regime and does not decay.  Only equal times are
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .airy_operator import symmetrized_determinant
+from .airy_operator import nystrom_determinant
 from .errors import MultiTimeUnsupportedError
 from .quadrature import affine_map_rule, gauss_legendre_rule
 from .resolvent_form import ResolventParams, kernel_grid
@@ -36,4 +36,4 @@ def gap_probability(params: ResolventParams, a1: float, a2: float, m: int = 60) 
         raise ValueError(f"interval endpoints must be finite with a1 < a2, got {a1}, {a2}")
     rule = affine_map_rule(gauss_legendre_rule(m), a1, a2)
     kmat = kernel_grid(params, rule.nodes, rule.nodes)
-    return symmetrized_determinant(kmat, rule.weights)
+    return nystrom_determinant(kmat, rule.weights)

@@ -5,7 +5,10 @@ which round-trips float64 exactly; nothing time- or host-dependent is ever
 written into a data section, so identical invocations produce byte-identical
 files.  CSV cells are quoted minimally in the usual CSV style: only a cell
 holding a comma, a double quote or a line break is quoted, so files of plain
-cells carry no quotes at all.
+cells carry no quotes at all.  A kernel grid is written without the per-cell
+route of a :class:`Table`: each axis value and each kernel value is formatted
+once, by :func:`fmt`, and joined into ``u,v,value`` lines, since a float cell
+never needs quoting; the bytes are those of the same cells written as a table.
 
 A resolvent cache file (``TACNODE_CACHE_DIR``) holds what ``tacnode tw``
 prints of a resolvent build, one ``tag value`` line each, under the header
@@ -19,6 +22,7 @@ part of a path for good, so a ``Path`` per new shift would leak memory.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import zlib
@@ -60,14 +64,6 @@ class KernelGrid:
     values: np.ndarray
     meta: dict
 
-    def table(self) -> Table:
-        rows = [
-            (self.us[i], self.vs[j], self.values[i, j])
-            for i in range(len(self.us))
-            for j in range(len(self.vs))
-        ]
-        return Table(("u", "v", "value"), rows, self.meta)
-
 
 def _cell(x) -> str:
     if isinstance(x, bool):
@@ -75,6 +71,13 @@ def _cell(x) -> str:
     if isinstance(x, (float, np.floating)):
         return fmt(x)
     return str(x)
+
+
+def _grid_csv_lines(grid: KernelGrid) -> list[str]:
+    """The CSV body of a kernel grid: one ``u,v,value`` line per cell, row-major, each axis value formatted once."""
+    cells = itertools.product([fmt(u) for u in grid.us], [fmt(v) for v in grid.vs])
+    values = map(fmt, grid.values.ravel().tolist())
+    return [f"{u},{v},{value}\n" for (u, v), value in zip(cells, values, strict=True)]
 
 
 def write_table(obj, fmt_name: str, path, banner: bool = True) -> None:
@@ -88,14 +91,17 @@ def write_table(obj, fmt_name: str, path, banner: bool = True) -> None:
     """
     path = Path(path)
     if fmt_name == "csv":
-        table = obj.table() if isinstance(obj, KernelGrid) else obj
         with path.open("w", encoding="utf-8", newline="") as fh:
             if banner:
-                meta = " ".join(f"{k}={_cell(v)}" for k, v in sorted(table.meta.items()))
+                meta = " ".join(f"{k}={_cell(v)}" for k, v in sorted(obj.meta.items()))
                 fh.write(f"# tacnode {__version__} {meta}".rstrip() + "\n")
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(table.header)
-            writer.writerows([_cell(x) for x in row] for row in table.rows)
+            if isinstance(obj, KernelGrid):
+                writer.writerow(("u", "v", "value"))
+                fh.writelines(_grid_csv_lines(obj))
+            else:
+                writer.writerow(obj.header)
+                writer.writerows([_cell(x) for x in row] for row in obj.rows)
     elif fmt_name == "json":
         meta = dict(obj.meta)
         if banner:
@@ -104,7 +110,7 @@ def write_table(obj, fmt_name: str, path, banner: bool = True) -> None:
             data = {
                 "u": [float(x) for x in obj.us],
                 "v": [float(x) for x in obj.vs],
-                "values": [[float(x) for x in row] for row in obj.values],
+                "values": np.asarray(obj.values, dtype=float).tolist(),
             }
         else:
             data = {"header": list(obj.header), "rows": [list(r) for r in obj.rows]}

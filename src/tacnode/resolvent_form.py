@@ -14,8 +14,9 @@ suite certifies.
 
 One Airy call serves each profile set: ``_b_pair`` gives ``b_tilde`` and
 ``b`` together.  A kernel grid splits into its v side (``kernel_columns``)
-and its rows (``kernel_rows``), so a grid built row by row evaluates the
-v side once.
+and its rows (``kernel_rows``): one Airy call for the v side, one for all
+rows, and per row only the products of a one-row grid, so every row is
+bit-identical to a one-row grid's.
 
 The boundary functionals ``phat`` need no smoothing matrix: the smoothed
 boundary row of the resolvent is ``Q`` (see ``AiryResolvent``), so they are
@@ -200,11 +201,10 @@ def _heat_term(tau1: float, tau2: float, u, v):
     return -np.exp(-du * du / (4.0 * dt)) / math.sqrt(4.0 * math.pi * dt)
 
 
-def _grid_profiles(params: ResolventParams, tau: float, zs: np.ndarray):
-    """``b_tilde`` and ``A`` at the nodes (rows), one column per shift in ``zs``."""
+def _smoothed(params: ResolventParams, bt: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A`` at the nodes from node-value columns of ``b_tilde`` and ``b``, one product with the smoothing matrix."""
     ar = params.resolvent
-    bt, b = _b_pair(params, tau, zs[None, :], ar.nodes[:, None])
-    return bt, b - params.lam ** (1.0 / 6.0) * (ar.smoothing @ (ar.weights[:, None] * bt))
+    return b - params.lam ** (1.0 / 6.0) * (ar.smoothing @ (ar.weights[:, None] * bt))
 
 
 class KernelColumns(NamedTuple):
@@ -223,18 +223,32 @@ def kernel_columns(params: ResolventParams, vs) -> KernelColumns:
     """Profiles, smoothing and solve of the v side, once for a whole grid."""
     ar = params.resolvent
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    bt, a = _grid_profiles(params, -params.tau2, vs)
+    bt, b = _b_pair(params, -params.tau2, vs[None, :], ar.nodes[:, None])
     w = ar.weights[:, None]
-    return KernelColumns(vs, w * bt, w * ar.solve(a))
+    return KernelColumns(vs, w * bt, w * ar.solve(_smoothed(params, bt, b)))
 
 
 def kernel_rows(params: ResolventParams, columns: KernelColumns, us) -> np.ndarray:
-    """Kernel rows ``L[i, j] = kernel(params, us[i], columns.vs[j])`` against a precomputed v side."""
+    """Kernel rows ``L[i, j] = kernel(params, us[i], columns.vs[j])`` against a precomputed v side.
+
+    The u-side profiles of all rows come from one Airy call on the
+    ``(us, nodes)`` grid; that call is elementwise, so each row's profiles
+    are bit-identical to a one-row call's.  The three products of a row
+    (its smoothing, ``bt.T @ wbt`` and ``a.T @ wsolved``) keep the shapes
+    of a one-row call, because BLAS rounds a batched product (gemm)
+    differently from a one-column one: each row is therefore bit-identical
+    to ``kernel_grid(params, [u], vs)[0]``, whatever the number of rows.
+    """
     us = np.atleast_1d(np.asarray(us, dtype=float))
-    bt, a = _grid_profiles(params, params.tau1, us)
-    C = params.C
-    grid = C * params.lam ** (1.0 / 3.0) * (bt.T @ columns.wbt) + C * (a.T @ columns.wsolved)
-    return grid + _heat_term(params.tau1, params.tau2, us[:, None], columns.vs[None, :])
+    bts, bs = _b_pair(params, params.tau1, us[:, None], params.resolvent.nodes[None, :])
+    scale = params.C * params.lam ** (1.0 / 3.0)
+    rows = np.empty((len(us), len(columns.vs)))
+    for i, (bt, b) in enumerate(zip(bts, bs)):
+        # (m, 1) C-contiguous columns, the layout of a one-row call
+        bt, b = bt.reshape(-1, 1), b.reshape(-1, 1)
+        a = _smoothed(params, bt, b)
+        rows[i] = scale * (bt.T @ columns.wbt) + params.C * (a.T @ columns.wsolved)
+    return rows + _heat_term(params.tau1, params.tau2, us[:, None], columns.vs[None, :])
 
 
 def kernel_grid(params: ResolventParams, us, vs) -> np.ndarray:

@@ -18,7 +18,7 @@ from tacnode.airy_operator import (
     build_airy_resolvents,
     get_boundary_rows,
     get_resolvent,
-    symmetrized_determinant,
+    nystrom_determinant,
 )
 from tacnode.errors import SingularResolventError, TruncationInsufficientError, UnsupportedRangeError
 from tacnode.quadrature import TailSpec, affine_map_rule, gauss_legendre_rule
@@ -165,7 +165,7 @@ def test_rank_one_determinant_oracle():
     rule = affine_map_rule(gauss_legendre_rule(80), 0.0, 16.0)
     phi = np.exp(-rule.nodes)
     kmat = np.outer(phi, phi)
-    det = symmetrized_determinant(kmat, rule.weights)
+    det = nystrom_determinant(kmat, rule.weights)
     exact = 1.0 - (1.0 - math.exp(-32.0)) / 2.0
     assert det == pytest.approx(exact, abs=1e-12)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tacnode.airy_operator import symmetrized_determinant
+from tacnode.airy_operator import nystrom_determinant
 from tacnode.errors import MultiTimeUnsupportedError
 from tacnode.gap import gap_probability
 from tacnode.quadrature import affine_map_rule, gauss_legendre_rule
@@ -54,4 +54,4 @@ def test_gap_uses_the_shared_nystrom_determinant(params):
     m = 24
     rule = affine_map_rule(gauss_legendre_rule(m), -1.0, 0.5)
     kmat = kernel_grid(params, rule.nodes, rule.nodes)
-    assert gap_probability(params, -1.0, 0.5, m) == symmetrized_determinant(kmat, rule.weights)
+    assert gap_probability(params, -1.0, 0.5, m) == nystrom_determinant(kmat, rule.weights)

@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from tacnode._version import __version__
 from tacnode.airy_operator import Resolution, build_airy_resolvent, get_resolvent
 from tacnode.cli import run_cli
 from tacnode.errors import CacheInvalidError
@@ -76,6 +77,51 @@ def test_json_meta_echoes_parameters(tmp_path):
         assert key in payload["meta"]
     assert payload["data"]["u"] == [0.0, 1.0]
     assert np.array(payload["data"]["values"]).shape == (2, 2)
+
+
+def _grid_with_edge_values():
+    us = np.array([-0.0, 5e-324, -1.5])
+    vs = np.array([1e308, -1e308, 0.1, -7.25e-12])
+    values = np.array([
+        [-0.0, 5e-324, -5e-324, 1e308],
+        [-1e308, np.pi, -np.e, 0.0],
+        [1.0 / 3.0, -2.5e-300, 123456789.0, -0.1],
+    ])
+    return KernelGrid(us, vs, values, {"lambda": 1.3, "m": 80, "T": 16.0})
+
+
+def test_kernel_grid_csv_matches_float_table(tmp_path):
+    grid = _grid_with_edge_values()
+    rows = [(u, v, grid.values[i, j]) for i, u in enumerate(grid.us) for j, v in enumerate(grid.vs)]
+    assert all(isinstance(x, np.floating) for row in rows for x in row)
+    # a Table takes the per-cell route: every float cell through _cell and csv.writer
+    table = Table(("u", "v", "value"), rows, grid.meta)
+    for banner in (False, True):
+        path = tmp_path / f"grid-{banner}.csv"
+        write_table(grid, "csv", path, banner=banner)
+        table_path = tmp_path / f"table-{banner}.csv"
+        write_table(table, "csv", table_path, banner=banner)
+        assert path.read_bytes() == table_path.read_bytes()
+    back = read_csv_table(tmp_path / "grid-True.csv")
+    assert back.meta == grid.meta
+    got = np.array(back.rows, dtype=float)
+    assert got.view(np.uint64).tolist() == np.array(rows, dtype=float).view(np.uint64).tolist()
+
+
+def test_kernel_grid_json_values_bit_identical(tmp_path):
+    grid = _grid_with_edge_values()
+    path = tmp_path / "g.json"
+    write_table(grid, "json", path)
+    data = {
+        "u": [float(x) for x in grid.us],
+        "v": [float(x) for x in grid.vs],
+        "values": [[float(x) for x in row] for row in grid.values],
+    }
+    meta = dict(grid.meta, generator=f"tacnode {__version__}")
+    expected = json.dumps({"meta": meta, "data": data}, sort_keys=True, indent=1, default=float) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
+    back = np.array(json.loads(path.read_text())["data"]["values"])
+    assert back.view(np.uint64).tolist() == grid.values.view(np.uint64).tolist()
 
 
 def test_unknown_format_rejected(tmp_path):

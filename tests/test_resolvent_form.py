@@ -16,7 +16,9 @@ from tacnode.resolvent_form import (
     interaction_from_sigma,
     kernel,
     kernel_dsigma,
+    kernel_columns,
     kernel_grid,
+    kernel_rows,
     kernel_six_term,
     kernel_tail,
     phat,
@@ -326,3 +328,14 @@ def test_kernel_grid_matches_pointwise(skew):
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             assert grid[i, j] == pytest.approx(kernel(skew, u, v), rel=1e-13)
+
+
+@pytest.mark.parametrize("times", [{"tau": 0.15}, {"tau1": 0.1, "tau2": 0.35}, {"tau1": 0.35, "tau2": 0.1}])
+@pytest.mark.parametrize("n_rows", [1, 7, 41])
+def test_kernel_rows_equal_stacked_one_row_grids(times, n_rows):
+    # one Airy call for all rows, one-row products per row: bit-identical to one-row calls
+    params = ResolventParams.create(1.3, Sigma=0.7, **times)
+    us = np.linspace(-2.0, 2.0, n_rows)
+    vs = np.linspace(-2.5, 1.5, 23)
+    rows = kernel_rows(params, kernel_columns(params, vs), us)
+    assert np.array_equal(rows, np.vstack([kernel_grid(params, [u], vs)[0] for u in us]))
