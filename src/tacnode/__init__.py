@@ -16,6 +16,7 @@ from .airy_operator import (
     Resolution,
     airy_kernel_shifted,
     build_airy_resolvent,
+    check_truncation,
     get_resolvent,
     nystrom_determinant,
 )
@@ -40,7 +41,7 @@ __all__ = [
     "airy_ai", "airy_ai_pair", "airy_ai_prime",
     "QuadratureRule", "gauss_legendre_rule", "affine_map_rule",
     "Resolution", "AiryResolvent", "airy_kernel_shifted", "build_airy_resolvent",
-    "get_resolvent", "nystrom_determinant",
+    "check_truncation", "get_resolvent", "nystrom_determinant",
     "hastings_mcleod", "hm_derivative", "hamiltonian", "f2_det",
     "ResolventParams", "TailSpec",
     "RHParams", "SParam", "ResidueEntries", "residue_matrix",

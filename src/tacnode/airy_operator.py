@@ -210,16 +210,9 @@ class AiryResolvent:
 
         ``fvals`` holds node values: a vector, or stacked columns, each smoothed on its own.
         """
-        return self._smooth(self.ai_nodes, self.smoothing, fvals)
-
-    def smooth_prime(self, fvals) -> np.ndarray:
-        """Smoothing with the ``Ai'`` half-kernel, returned like :meth:`smooth`."""
-        return self._smooth(self.aip_nodes, self.smoothing_prime, fvals)
-
-    def _smooth(self, at0: np.ndarray, matrix: np.ndarray, fvals) -> np.ndarray:
         fvals = np.asarray(fvals, dtype=float)
         wf = (self.weights[:, None] if fvals.ndim == 2 else self.weights) * fvals
-        return np.concatenate(((at0 @ wf)[None], matrix @ wf))
+        return np.concatenate(((self.ai_nodes @ wf)[None], self.smoothing @ wf))
 
     @cached_property
     def resolvent_matrix(self) -> np.ndarray:
@@ -271,25 +264,33 @@ def _assemble(resolution: Resolution, rule: QuadratureRule, sigma: float, ai, ai
                          _system=system)
 
 
-def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution(), strict: bool = False) -> AiryResolvent:
+def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution()) -> AiryResolvent:
     """Discretize ``(I - K_sigma)^{-1}`` and precompute its derived data: :func:`build_airy_resolvents` at one shift.
 
     Raises ``UnsupportedRangeError`` below ``sigma = -8`` and
     ``SingularResolventError`` once det(I - K) falls under 1e-8, where the
     linear solves no longer carry enough digits; a NaN shift or
-    determinant fails the same guards.  With ``strict=True`` the
-    build is repeated at T + 4 and a drift of more than 1e-10 in ``q`` or
-    the determinant raises ``TruncationInsufficientError``.
+    determinant fails the same guards.  :func:`check_truncation` checks
+    the truncation point.
     """
     (ar,) = build_airy_resolvents([float(sigma)], resolution)
-    if strict:
-        wide = build_airy_resolvent(sigma, Resolution(resolution.m, resolution.T + 4.0))
-        if abs(wide.q - ar.q) > 1e-10 or abs(wide.det - ar.det) > 1e-10:
-            raise TruncationInsufficientError(
-                f"T = {resolution.T} truncates visible mass at sigma = {ar.sigma}: "
-                f"dq = {wide.q - ar.q:.3e}, ddet = {wide.det - ar.det:.3e}"
-            )
     return ar
+
+
+def check_truncation(sigma: float, resolution: Resolution = Resolution()) -> None:
+    """Raise ``TruncationInsufficientError`` if ``T`` truncates visible mass at ``sigma``.
+
+    Compares :func:`get_resolvent` at ``resolution``, which a later lookup
+    finds in the cache, with one build at ``T + 4``: a drift of more than
+    1e-10 in ``q`` or the determinant fails.
+    """
+    ar = get_resolvent(sigma, resolution)
+    wide = build_airy_resolvent(sigma, Resolution(resolution.m, resolution.T + 4.0))
+    if abs(wide.q - ar.q) > 1e-10 or abs(wide.det - ar.det) > 1e-10:
+        raise TruncationInsufficientError(
+            f"T = {resolution.T} truncates visible mass at sigma = {ar.sigma}: "
+            f"dq = {wide.q - ar.q:.3e}, ddet = {wide.det - ar.det:.3e}"
+        )
 
 
 @functools.lru_cache(maxsize=23)

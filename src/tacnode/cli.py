@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .airy_operator import Resolution, build_airy_resolvent
+from .airy_operator import Resolution, check_truncation
 from .errors import TacnodeError
 from .gap import gap_probability
 from .io import KernelGrid, Table, load_or_build, write_table
-from .resolvent_form import ResolventParams, kernel_columns, kernel_rows
+from .resolvent_form import ResolventParams, kernel_grid
 from .rh_form import RHParams, residue_matrix
 from .verify import run_suite
 
@@ -130,7 +130,8 @@ def _build_parser():
     _add_resolution(ver)
     _add_output(ver)
     for build in (tw, kern, gap, res):
-        build.add_argument("--strict", action="store_true", help="validate the truncation point at build time")
+        build.add_argument("--strict", action="store_true",
+                           help="rebuild at T + 4 and fail with exit 3 if q or det moves by more than 1e-10")
     return parser
 
 
@@ -149,7 +150,7 @@ def _fv_params(args, resolution: Resolution) -> ResolventParams:
 def _cmd_tw(args) -> int:
     resolution = Resolution(args.m, args.T)
     if args.strict:
-        build_airy_resolvent(float(np.min(args.sigma_grid)), resolution, strict=True)
+        check_truncation(float(np.min(args.sigma_grid)), resolution)
     rows = []
     for sigma in args.sigma_grid:
         q, p, u, v, det = load_or_build(float(sigma), resolution)
@@ -169,14 +170,11 @@ def _cmd_kernel(args) -> int:
     us = args.u_grid if args.u_grid is not None else args.grid
     vs = args.v_grid if args.v_grid is not None else args.grid
     if us is None or vs is None:
-        print("kernel: provide --grid or both --u-grid and --v-grid", file=sys.stderr)
-        return 2
+        raise ValueError("provide --grid or both --u-grid and --v-grid")
     params = _fv_params(args, resolution)
     if args.strict:
-        build_airy_resolvent(params.sigma, resolution, strict=True)
-
-    # one v side and one call for all rows; each row is bit-identical to kernel_grid(params, [u], vs)[0]
-    values = kernel_rows(params, kernel_columns(params, vs), us)
+        check_truncation(params.sigma, resolution)
+    values = kernel_grid(params, us, vs)
     meta = {
         "lambda": params.lam, "Sigma": params.Sigma, "sigma": params.sigma,
         "tau1": params.tau1, "tau2": params.tau2, "m": args.m, "T": args.T,
@@ -193,7 +191,7 @@ def _cmd_gap(args) -> int:
     resolution = Resolution(args.m, args.T)
     params = _fv_params(args, resolution)
     if args.strict:
-        build_airy_resolvent(params.sigma, resolution, strict=True)
+        check_truncation(params.sigma, resolution)
     value = gap_probability(params, args.a1, args.a2, args.gap_m)
     if args.out:
         table = Table(
@@ -211,7 +209,7 @@ def _cmd_residue(args) -> int:
     resolution = Resolution(args.m, args.T)
     params = RHParams.create(args.r1, args.r2, args.s1, args.s2, args.tau, resolution)
     if args.strict:
-        build_airy_resolvent(params.sigma, resolution, strict=True)
+        check_truncation(params.sigma, resolution)
     e = residue_matrix(params)
     names = ("d", "d_tilde", "c", "c_tilde", "b", "b_tilde", "beta", "beta_tilde", "f", "f_tilde")
     rows = [(name, getattr(e, name)) for name in names]

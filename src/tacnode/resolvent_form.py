@@ -13,10 +13,8 @@ they agree up to discretization error, which is what the verification
 suite certifies.
 
 One Airy call serves each profile set: ``_b_pair`` gives ``b_tilde`` and
-``b`` together.  A kernel grid splits into its v side (``kernel_columns``)
-and its rows (``kernel_rows``): one Airy call for the v side, one for all
-rows, and per row only the products of a one-row grid, so every row is
-bit-identical to a one-row grid's.
+``b`` together, and ``kernel_grid`` makes one for its v side and one for
+all its rows.
 
 The boundary functionals ``phat`` need no smoothing matrix: the smoothed
 boundary row of the resolvent is ``Q`` (see ``AiryResolvent``), so they are
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -207,56 +204,35 @@ def _smoothed(params: ResolventParams, bt: np.ndarray, b: np.ndarray) -> np.ndar
     return b - params.lam ** (1.0 / 6.0) * (ar.smoothing @ (ar.weights[:, None] * bt))
 
 
-class KernelColumns(NamedTuple):
-    """The v side of a kernel grid: everything that does not depend on ``u``.
+def kernel_grid(params: ResolventParams, us, vs) -> np.ndarray:
+    """Tacnode kernel on a cartesian grid: the matrix ``L[i, j] = kernel(params, us[i], vs[j])``.
 
-    ``wbt`` holds ``w * b_tilde`` and ``wsolved`` holds ``w * (I - K)^{-1} A``
-    at the nodes, one column per ``v``.
+    The v side (profiles, smoothing and solve) is done once for all
+    columns, from one Airy call.  The u-side profiles of all rows come from
+    one more Airy call on the ``(us, nodes)`` grid; that call is
+    elementwise, so each row's profiles are bit-identical to a one-row
+    call's.  The three products of a row (its smoothing, ``bt.T @ wbt`` and
+    ``a.T @ wsolved``) keep the shapes of a one-row call, because BLAS
+    rounds a batched product (gemm) differently from a one-column one: each
+    row is therefore bit-identical to ``kernel_grid(params, [u], vs)[0]``,
+    whatever the number of rows.
     """
-
-    vs: np.ndarray
-    wbt: np.ndarray
-    wsolved: np.ndarray
-
-
-def kernel_columns(params: ResolventParams, vs) -> KernelColumns:
-    """Profiles, smoothing and solve of the v side, once for a whole grid."""
     ar = params.resolvent
+    us = np.atleast_1d(np.asarray(us, dtype=float))
     vs = np.atleast_1d(np.asarray(vs, dtype=float))
     bt, b = _b_pair(params, -params.tau2, vs[None, :], ar.nodes[:, None])
     w = ar.weights[:, None]
-    return KernelColumns(vs, w * bt, w * ar.solve(_smoothed(params, bt, b)))
-
-
-def kernel_rows(params: ResolventParams, columns: KernelColumns, us) -> np.ndarray:
-    """Kernel rows ``L[i, j] = kernel(params, us[i], columns.vs[j])`` against a precomputed v side.
-
-    The u-side profiles of all rows come from one Airy call on the
-    ``(us, nodes)`` grid; that call is elementwise, so each row's profiles
-    are bit-identical to a one-row call's.  The three products of a row
-    (its smoothing, ``bt.T @ wbt`` and ``a.T @ wsolved``) keep the shapes
-    of a one-row call, because BLAS rounds a batched product (gemm)
-    differently from a one-column one: each row is therefore bit-identical
-    to ``kernel_grid(params, [u], vs)[0]``, whatever the number of rows.
-    """
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    bts, bs = _b_pair(params, params.tau1, us[:, None], params.resolvent.nodes[None, :])
+    wbt, wsolved = w * bt, w * ar.solve(_smoothed(params, bt, b))
+    del bt, b  # free the v-side profiles before the rows' Airy call, the grid's peak of memory
+    bts, bs = _b_pair(params, params.tau1, us[:, None], ar.nodes[None, :])
     scale = params.C * params.lam ** (1.0 / 3.0)
-    rows = np.empty((len(us), len(columns.vs)))
+    rows = np.empty((len(us), len(vs)))
     for i, (bt, b) in enumerate(zip(bts, bs)):
         # (m, 1) C-contiguous columns, the layout of a one-row call
         bt, b = bt.reshape(-1, 1), b.reshape(-1, 1)
         a = _smoothed(params, bt, b)
-        rows[i] = scale * (bt.T @ columns.wbt) + params.C * (a.T @ columns.wsolved)
-    return rows + _heat_term(params.tau1, params.tau2, us[:, None], columns.vs[None, :])
-
-
-def kernel_grid(params: ResolventParams, us, vs) -> np.ndarray:
-    """Tacnode kernel on a cartesian grid, one batched evaluation.
-
-    Returns the matrix ``L[i, j] = kernel(params, us[i], vs[j])``.
-    """
-    return kernel_rows(params, kernel_columns(params, vs), us)
+        rows[i] = scale * (bt.T @ wbt) + params.C * (a.T @ wsolved)
+    return rows + _heat_term(params.tau1, params.tau2, us[:, None], vs[None, :])
 
 
 def kernel(params: ResolventParams, u: float, v: float) -> float:

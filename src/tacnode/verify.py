@@ -409,7 +409,7 @@ def check_rh_kernel(paramsets=DEFAULT_RH_SETS, res: Resolution = Resolution()) -
             # x-derivative of A: C d/dz b - D * (Ai' smoothing of b_tilde)
             _, db_plain = rh.b_with_derivs(p, z, nodes, order=1)
             bt_nodes = rh.b_values(p, z, nodes, tilde=True)
-            smp = ar.smooth_prime(bt_nodes)[1:]
+            smp = ar.smoothing_prime @ (ar.weights * bt_nodes)
             a_x = p.C * db_plain - p.D * smp
             dz_resid.extend(a1.values - (a_x - p.D * ar.ai_nodes * bt0) / p.C)
             rhs = ((z + p.C * nodes + 2 * p.s2 / p.r2 - p.r2**2 * p.tau**2) * a0.values

@@ -16,6 +16,7 @@ from tacnode.airy_operator import (
     airy_kernel_shifted,
     build_airy_resolvent,
     build_airy_resolvents,
+    check_truncation,
     get_boundary_rows,
     get_resolvent,
     nystrom_determinant,
@@ -142,19 +143,17 @@ def test_nystrom_extension_consistency():
     assert ar.extend(ar.qvec, g, 0.0) == ar.q  # same composition, bit for bit
 
 
-@pytest.mark.parametrize("method", ["smooth", "smooth_prime"])
-def test_smooth_stacked_columns_match_vector_calls(method):
+def test_smooth_stacked_columns_match_vector_calls():
     ar = get_resolvent(0.3)
-    at0, matrix = (ar.ai_nodes, ar.smoothing) if method == "smooth" else (ar.aip_nodes, ar.smoothing_prime)
     fvals = np.column_stack((np.exp(-ar.nodes), np.cos(ar.nodes), ar.ai_nodes))
-    stacked = getattr(ar, method)(fvals)
+    stacked = ar.smooth(fvals)
     assert stacked.shape == (ar.resolution.m + 1, 3)
     for k in range(3):
-        column = getattr(ar, method)(fvals[:, k])
+        column = ar.smooth(fvals[:, k])
         wf = ar.weights * fvals[:, k]
         # a vector: the value at 0 first, then the nodes, bit for bit as the two products
-        assert column[0] == at0 @ wf
-        assert np.array_equal(column[1:], matrix @ wf)
+        assert column[0] == ar.ai_nodes @ wf
+        assert np.array_equal(column[1:], ar.smoothing @ wf)
         # a matrix-matrix product may sum in another order than a matrix-vector one,
         # so stacked columns agree with the vector calls to rounding
         np.testing.assert_allclose(stacked[:, k], column, rtol=0, atol=1e-14)
@@ -199,14 +198,18 @@ def test_nan_determinant_is_singular(monkeypatch):
         build_airy_resolvent(0.3)
 
 
-def test_strict_mode_passes_at_default_truncation():
-    ar = build_airy_resolvent(0.5, strict=True)
-    assert 0.0 < ar.det < 1.0
+def test_strict_mode_passes_at_default_truncation(fresh_resolvent_cache):
+    resolvents, _ = fresh_resolvent_cache
+    check_truncation(0.5)
+    # the checked build stays in the resolvent cache, the wide one does not
+    assert resolvents.cache_info().currsize == 1
+    assert 0.0 < get_resolvent(0.5).det < 1.0
+    assert resolvents.cache_info().hits == 1
 
 
 def test_strict_mode_flags_short_truncation():
-    with pytest.raises(TruncationInsufficientError):
-        build_airy_resolvent(-4.0, Resolution(80, 6.0), strict=True)
+    with pytest.raises(TruncationInsufficientError, match="truncates visible mass"):
+        check_truncation(-4.0, Resolution(80, 6.0))
 
 
 def test_scalar_invariants_from_shared_build():

@@ -6,6 +6,7 @@ import pytest
 
 import tacnode.cli
 import tacnode.resolvent_form as rf
+from tacnode import airy_operator
 from tacnode.cli import run_cli
 from tacnode.io import read_csv_table
 
@@ -52,7 +53,7 @@ def test_kernel_csv_rows_equal_kernel_grid_rows(tmp_path, times):
 
 
 def test_kernel_grid_evaluates_v_side_once(tmp_path, monkeypatch):
-    counts = {"columns": 0, "airy": 0}
+    counts = {"grid": 0, "airy": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -61,13 +62,13 @@ def test_kernel_grid_evaluates_v_side_once(tmp_path, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(tacnode.cli, "kernel_columns", counting("columns", rf.kernel_columns))
+    monkeypatch.setattr(tacnode.cli, "kernel_grid", counting("grid", rf.kernel_grid))
     monkeypatch.setattr(rf, "airy_ai_pair", counting("airy", rf.airy_ai_pair))
     argv = ["kernel", "--lambda", "1.5", "--Sigma", "0.8", "--tau", "0.2", "--grid", "-1:1:7",
             "--out", str(tmp_path / "k.csv")]
     assert run_cli(argv) == 0
-    # one Airy call for the v side, one for all rows
-    assert counts == {"columns": 1, "airy": 1 + 1}
+    # one grid; in it one Airy call for the v side, one for all rows
+    assert counts == {"grid": 1, "airy": 1 + 1}
 
 
 def test_identical_invocations_byte_identical(tmp_path):
@@ -96,11 +97,13 @@ def test_residue_table(tmp_path):
     assert [row[0] for row in table.rows][:2] == ["d", "d_tilde"]
 
 
-def test_argument_errors_exit_2():
+def test_argument_errors_exit_2(capsys):
     assert run_cli(["kernel", "--lambda", "1", "--Sigma", "1", "--sigma", "2", "--grid", "0:1:2"]) == 2
     assert run_cli(["tw"]) == 2
     assert run_cli(["tw", "--sigma-grid", "0:1:3", "--bogus"]) == 2
+    capsys.readouterr()
     assert run_cli(["kernel", "--lambda", "1", "--Sigma", "1"]) == 2
+    assert capsys.readouterr().err.startswith("tacnode kernel: provide --grid")
     assert run_cli(["gap", "--lambda", "1", "--Sigma", "1", "--a1", "1", "--a2", "-1"]) == 2
     # removed options
     assert run_cli(["kernel", "--lambda", "1", "--Sigma", "1", "--grid", "0:1:2", "--workers", "1"]) == 2
@@ -117,10 +120,53 @@ def test_numerical_failures_exit_3(tmp_path):
                     "--a1", "-1", "--a2", "1"]) == 3
 
 
-def test_strict_flag_rejects_short_truncation(tmp_path):
-    rc = run_cli(["tw", "--sigma-grid", "-4:-4:1", "--T", "6", "--strict",
-                  "--out", str(tmp_path / "x.csv")])
-    assert rc == 3
+def test_strict_flag_rejects_short_truncation(tmp_path, capsys):
+    for argv in (
+        ["tw", "--sigma-grid", "-4:-4:1", "--out", str(tmp_path / "x.csv")],
+        ["kernel", "--lambda", "1", "--sigma", "-4", "--tau", "0", "--grid", "0:1:2"],
+        ["gap", "--lambda", "1", "--sigma", "-4", "--tau", "0", "--a1", "-1", "--a2", "1"],
+        # sigma = 2 (s1 + s2) / 2^(1/3) = -4.0002
+        ["residue", "--r1", "1", "--r2", "1", "--s1", "-1.26", "--s2", "-1.26"],
+    ):
+        assert run_cli(argv + ["--T", "6"]) == 0
+        capsys.readouterr()
+        assert run_cli(argv + ["--T", "6", "--strict"]) == 3
+        assert capsys.readouterr().err.startswith(f"tacnode {argv[0]}: T = 6.0 truncates visible mass")
+
+
+# a run of each command that --strict can check, at the default truncation T = 16
+_STRICT_RUNS = {
+    "tw": ["tw", "--sigma-grid", "-1:1:3"],
+    "kernel": ["kernel", "--lambda", "1.3", "--Sigma", "0.7", "--tau1", "0.1", "--tau2", "0.35", "--grid", "-1:1:5"],
+    "gap": ["gap", "--lambda", "1", "--Sigma", "1", "--tau", "0", "--a1", "-1", "--a2", "1", "--gap-m", "20"],
+    "residue": ["residue", "--r1", "1.2", "--r2", "0.9", "--s1", "0.4", "--s2", "0.7", "--tau", "0.3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STRICT_RUNS))
+def test_strict_run_writes_the_bytes_of_its_plain_twin(tmp_path, capsys, command):
+    outputs = []
+    for extra in ([], ["--strict"]):
+        out = tmp_path / f"{command}{len(extra)}.csv"
+        assert run_cli(_STRICT_RUNS[command] + extra + ["--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+def test_strict_kernel_run_makes_two_builds(tmp_path, monkeypatch, fresh_resolvent_cache):
+    truncations = []
+    build = airy_operator.build_airy_resolvents
+
+    def counting(sigmas, resolution):
+        truncations.append(resolution.T)
+        return build(sigmas, resolution)
+
+    # every resolvent build goes through build_airy_resolvents
+    monkeypatch.setattr(airy_operator, "build_airy_resolvents", counting)
+    argv = _STRICT_RUNS["kernel"] + ["--strict", "--out", str(tmp_path / "k.csv")]
+    assert run_cli(argv) == 0
+    # the checked build serves the kernel from the cache; only the wide one is extra
+    assert sorted(truncations) == [16.0, 20.0]
 
 
 def test_verify_suite_exit_codes(tmp_path):

@@ -16,9 +16,7 @@ from tacnode.resolvent_form import (
     interaction_from_sigma,
     kernel,
     kernel_dsigma,
-    kernel_columns,
     kernel_grid,
-    kernel_rows,
     kernel_six_term,
     kernel_tail,
     phat,
@@ -337,5 +335,5 @@ def test_kernel_rows_equal_stacked_one_row_grids(times, n_rows):
     params = ResolventParams.create(1.3, Sigma=0.7, **times)
     us = np.linspace(-2.0, 2.0, n_rows)
     vs = np.linspace(-2.5, 1.5, 23)
-    rows = kernel_rows(params, kernel_columns(params, vs), us)
+    rows = kernel_grid(params, us, vs)
     assert np.array_equal(rows, np.vstack([kernel_grid(params, [u], vs)[0] for u in us]))
