@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -47,26 +47,33 @@ class Resolution:
 def airy_kernel_shifted(sigma, x, y):
     """Shifted Airy kernel ``K_sigma(x, y)``, continuous across the diagonal.
 
-    Accepts scalars or broadcastable arrays.  Within 1e-5 of the diagonal
-    the midpoint form ``Ai'(m)^2 - m Ai(m)^2`` (with ``m = (x+y)/2 + sigma``)
-    is used to avoid cancellation.
+    Accepts scalars or broadcastable arrays.  Airy is evaluated once per
+    point of ``x`` and of ``y``, before they broadcast; near the diagonal
+    :func:`_kernel_from_airy` takes the midpoint form.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.broadcast_arrays(x, y)
     x, y = np.atleast_1d(x), np.atleast_1d(y)
-    ai_x, aip_x = airy_ai_pair(x + sigma)
-    ai_y, aip_y = airy_ai_pair(y + sigma)
+    k = _kernel_from_airy(sigma, x, y, *airy_ai_pair(x + sigma), *airy_ai_pair(y + sigma))
+    return float(k[0]) if scalar else k
+
+
+def _kernel_from_airy(sigma, x, y, ai_x, aip_x, ai_y, aip_y) -> np.ndarray:
+    """``K_sigma(x, y)`` from ``Ai`` and ``Ai'`` at ``x + sigma`` and ``y + sigma``; all arguments broadcast.
+
+    Within 1e-5 of the diagonal the midpoint form ``Ai'(m)^2 - m Ai(m)^2``, ``m = (x+y)/2 + sigma``,
+    avoids cancellation; it costs one more Airy call, on those points only.
+    """
     diff = x - y
     near = np.abs(diff) < _NEAR_DIAGONAL
     with np.errstate(divide="ignore", invalid="ignore"):
         k = (ai_x * aip_y - aip_x * ai_y) / np.where(near, 1.0, diff)
     if near.any():
-        mid = 0.5 * (x + y) + sigma
+        mid = (0.5 * (x + y) + sigma)[near]
         ai_m, aip_m = airy_ai_pair(mid)
-        k = np.where(near, aip_m * aip_m - mid * ai_m * ai_m, k)
-    return float(k[0]) if scalar else k
+        k[near] = aip_m * aip_m - mid * ai_m * ai_m
+    return k
 
 
 def _nystrom_system(kmat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -101,13 +108,6 @@ def _ray_rule(m: int, T: float) -> QuadratureRule:
     return affine_map_rule(gauss_legendre_rule(m), 0.0, T)
 
 
-class FuncOnGrid(NamedTuple):
-    """A function on the discretization: its value at 0 and at the nodes."""
-
-    at0: float
-    values: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class AiryResolvent:
     """Everything derived from ``(I - K_sigma)^{-1}`` at one shift ``sigma``.
@@ -123,6 +123,9 @@ class AiryResolvent:
     ``Ai(y + sigma) + int R(0, x) Ai(x + y + sigma) dx = Q(y)``.  So
     ``(I - K)^{-1}(., 0)`` applied to the smoothing ``A f`` of a function
     ``f`` is ``int Q f``, and needs no smoothing matrix.
+
+    A function on the grid is one array of its values at 0 and at the
+    nodes, the value at 0 first: :meth:`smooth` returns it, :meth:`apply_r0` takes it.
     """
 
     sigma: float
@@ -162,9 +165,9 @@ class AiryResolvent:
         """
         return np.linalg.solve(self._system, np.asarray(g, dtype=float))
 
-    def apply_r0_values(self, f0: float, fvals: np.ndarray) -> float:
-        """``f(0) + sum_i w_i R(x_i, 0) f(x_i)``: ``(I - K)^{-1}(., 0)`` on a :class:`FuncOnGrid`'s fields."""
-        return float(f0 + self.weights @ (self.r0 * fvals))
+    def apply_r0(self, f) -> float:
+        """``f(0) + sum_i w_i R(x_i, 0) f(x_i)``: ``(I - K)^{-1}(., 0)`` applied to a function on the grid."""
+        return float(f[0] + self.weights @ (self.r0 * f[1:]))
 
     def extend(self, fvec: np.ndarray, g, x):
         """Nystrom extension of a solved vector off the grid.
@@ -173,9 +176,19 @@ class AiryResolvent:
         ``g``, returns ``g(x) + sum_j w_j K(x, x_j) f(x_j)`` for scalar or
         array ``x``.
         """
+        return self._extend(fvec, lambda x_arr, krows: g(x_arr), x)
+
+    def resolvent_at(self, x, j: int) -> float:
+        """Off-grid ``R(x, x_j)``: column ``j`` of :attr:`resolvent_matrix` extended; ``g`` is column ``j`` of its kernel rows."""
+        return self._extend(self.resolvent_matrix[:, j], lambda x_arr, krows: krows[:, j], x)
+
+    def _extend(self, fvec: np.ndarray, g, x):
+        """:meth:`extend` with ``g(x_arr, krows)`` given the kernel rows ``K(x, x_j)``; Airy runs at ``x`` only."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        krows = airy_kernel_shifted(self.sigma, x_arr[:, None], self.nodes[None, :])
-        out = np.asarray(g(x_arr), dtype=float) + krows @ (self.weights * fvec)
+        ai_x, aip_x = airy_ai_pair(x_arr + self.sigma)
+        krows = _kernel_from_airy(self.sigma, x_arr[:, None], self.nodes, ai_x[:, None], aip_x[:, None],
+                                  self.ai_nodes, self.aip_nodes)
+        out = np.asarray(g(x_arr, krows), dtype=float) + krows @ (self.weights * fvec)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def _node_sum_matrix(self, part: int) -> np.ndarray:
@@ -218,10 +231,6 @@ class AiryResolvent:
     def resolvent_matrix(self) -> np.ndarray:
         """Resolvent kernel values ``R(x_i, x_j)`` at all node pairs."""
         return self.solve(self.kmat)
-
-    def resolvent_at(self, x, j: int) -> float:
-        """Off-grid resolvent value ``R(x, x_j)``: the :meth:`extend` of column ``j`` of :attr:`resolvent_matrix`."""
-        return self.extend(self.resolvent_matrix[:, j], lambda t: airy_kernel_shifted(self.sigma, t, self.nodes[j]), x)
 
 
 def build_airy_resolvents(sigmas, resolution: Resolution = Resolution()) -> Iterator[AiryResolvent]:

@@ -14,7 +14,9 @@ suite certifies.
 
 One Airy call serves each profile set: ``_b_pair`` gives ``b_tilde`` and
 ``b`` together, and ``kernel_grid`` makes one for its v side and one for
-all its rows.
+all its rows.  ``script_a`` returns a smoothed profile as a function on
+the grid: one array of its values at 0 and at the nodes, the value at 0
+first, the layout of ``AiryResolvent.smooth`` and ``AiryResolvent.apply_r0``.
 
 The boundary functionals ``phat`` need no smoothing matrix: the smoothed
 boundary row of the resolvent is ``Q`` (see ``AiryResolvent``), so they are
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_boundary_rows, get_resolvent
+from .airy_operator import AiryResolvent, Resolution, get_boundary_rows, get_resolvent
 from .errors import MultiTimeUnsupportedError
 from .quadrature import TailSpec, _check_tail_mass, affine_map_rule, gauss_legendre_rule
 
@@ -139,22 +141,20 @@ def b_values(params: ResolventParams, tau: float, z: float, x, tilde: bool = Fal
     return _b_pair(params, tau, z, np.asarray(x, dtype=float))[0 if tilde else 1]
 
 
-def _script_a_pair(params: ResolventParams, tau: float, z: float):
-    """``(A_tilde, A)`` at 0 and the nodes: arrays of length ``m + 1``, the value at 0 first.
+def script_a(params: ResolventParams, tau: float, z: float, tilde: bool = False) -> np.ndarray:
+    """Smoothed profile ``A`` (or ``A_tilde``) at 0 and the nodes: length ``m + 1``, the value at 0 first.
 
-    Each profile on the nodes is smoothed into the other's ``A``; both
-    smoothings are one product with the smoothing matrix.
+    ``A`` is ``b`` minus the Airy smoothing of ``b_tilde``, and ``A_tilde``
+    is ``b_tilde`` minus that of ``b``.  Both profiles on the nodes are
+    smoothed in one product with the smoothing matrix, whichever is asked
+    for: a one-column product can round differently.
     """
     ar = params.resolvent
     bt, b = _b_pair(params, tau, z, np.concatenate(([0.0], ar.nodes)))
     sm = ar.smooth(np.column_stack((b[1:], bt[1:])))
-    return bt - params.lam ** (-1.0 / 6.0) * sm[:, 0], b - params.lam ** (1.0 / 6.0) * sm[:, 1]
-
-
-def script_a(params: ResolventParams, tau: float, z: float, tilde: bool = False) -> FuncOnGrid:
-    """Smoothed profile: ``b`` minus the Airy smoothing of the opposite profile."""
-    a = _script_a_pair(params, tau, z)[0 if tilde else 1]
-    return FuncOnGrid(float(a[0]), a[1:])
+    if tilde:
+        return bt - params.lam ** (-1.0 / 6.0) * sm[:, 0]
+    return b - params.lam ** (1.0 / 6.0) * sm[:, 1]
 
 
 def script_a_at(params: ResolventParams, tau: float, z: float, x):

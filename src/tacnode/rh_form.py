@@ -18,6 +18,11 @@ profiles against ``r0`` and ``qvec``.  ``kernel_tail`` does all shifts of
 its rule at once, with one Airy call per side, against the stacked boundary
 rows of the rule's shifts, built in one pass.
 
+``script_a`` returns the smoothed profile and its z-derivatives as rows of
+one array, each row a function on the grid (its value at 0 first, then the
+nodes, as ``AiryResolvent.apply_r0`` takes it), and ``m_top_left`` the 2x2
+block and its z-derivatives stacked along the first axis.
+
 Parameters: scale factors ``r1, r2 > 0``, endpoint parameters ``s1, s2``,
 time ``tau``; derived constants::
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import airy_ai_pair
-from .airy_operator import AiryResolvent, FuncOnGrid, Resolution, get_boundary_rows, get_resolvent
+from .airy_operator import AiryResolvent, Resolution, get_boundary_rows, get_resolvent
 from .errors import MismatchedParamsError
 from .quadrature import TailSpec, _check_tail_mass, affine_map_rule, gauss_legendre_rule
 
@@ -177,35 +182,26 @@ def b_values(params: RHParams, z: float, x, tilde: bool = False):
 def _smoothed_pair(params: RHParams, z: float, order: int):
     """Both profiles and their Airy smoothings at 0 and the nodes, with ``order`` z-derivatives.
 
-    Returns ``(bt, b, sm_t, sm)``, each a tuple of ``order + 1`` arrays of
-    length ``m + 1`` with the value at 0 first; ``sm_t`` smooths ``bt`` and
+    Returns ``(bt, b, sm_t, sm)``, each an ``(order + 1, m + 1)`` array
+    whose rows are functions on the grid; ``sm_t`` smooths ``bt`` and
     ``sm`` smooths ``b``.  One Airy call and one product with the smoothing
     matrix serve them all.
     """
     ar = params.resolvent
-    bt, b = _profile_pair(params, z, np.concatenate(([0.0], ar.nodes)), order)
-    sm = ar.smooth(np.column_stack([f[1:] for f in bt + b]))
-    return bt, b, tuple(sm[:, : order + 1].T), tuple(sm[:, order + 1 :].T)
+    bt, b = (np.array(f) for f in _profile_pair(params, z, np.concatenate(([0.0], ar.nodes)), order))
+    sm = ar.smooth(np.column_stack((*bt[:, 1:], *b[:, 1:])))
+    return bt, b, sm[:, : order + 1].T, sm[:, order + 1 :].T
 
 
-def _script_a_pair(params: RHParams, z: float, order: int):
-    """``(A_tilde, A)``: two tuples of ``order + 1`` :class:`FuncOnGrid` entries."""
-    bt, b, sm_t, sm = _smoothed_pair(params, z, order)
-    D = params.D
-    return (
-        tuple(FuncOnGrid(float(f[0] - s[0] / D), f[1:] - s[1:] / D) for f, s in zip(bt, sm)),
-        tuple(FuncOnGrid(float(f[0] - D * s[0]), f[1:] - D * s[1:]) for f, s in zip(b, sm_t)),
-    )
-
-
-def script_a(params: RHParams, z: float, tilde: bool = False, order: int = 0):
-    """Resolvent-side smoothed profile and its analytic z-derivatives.
+def script_a(params: RHParams, z: float, tilde: bool = False, order: int = 0) -> np.ndarray:
+    """Resolvent-side smoothed profile and its analytic z-derivatives at 0 and the nodes.
 
     ``A_z = b_z - D * (Airy smoothing of the tilde profile)`` and the tilde
-    variant with ``1/D`` and the roles of the profiles swapped.  Returns
-    ``order + 1`` :class:`FuncOnGrid` entries.
+    variant with ``1/D`` and the roles of the profiles swapped.  Returns an
+    ``(order + 1, m + 1)`` array: row ``k`` is the ``k``-th z-derivative.
     """
-    return _script_a_pair(params, z, order)[0 if tilde else 1]
+    bt, b, sm_t, sm = _smoothed_pair(params, z, order)
+    return bt - sm / params.D if tilde else b - params.D * sm_t
 
 
 @dataclass(frozen=True)
@@ -270,27 +266,20 @@ def p_vector(params: RHParams, z: float, derivs: bool = False) -> PVector:
     return PVector(p1, p2, ip3, ip4, dp1, dp2, dip3, dip4)
 
 
-def m_first_column(params: RHParams, z: float, order: int = 0):
-    """First column ``(M11, M21)`` of the top block with analytic z-derivatives.
+def m_top_left(params: RHParams, z: float, order: int = 0) -> np.ndarray:
+    """Top-left 2x2 block of the RH matrix via Airy-resolvent formulas, with analytic z-derivatives.
 
-    Returns ``order + 1`` pairs ``(m1, m2)``.
+    Returns an ``(order + 1, 2, 2)`` array: the block, then its first
+    ``order`` z-derivatives.  Each entry applies ``(I - K)^{-1}(., 0)`` to
+    a profile or a smoothed profile, and one smoothing product serves all
+    of them; a wider ``order`` widens that product, so its ``[0]`` can
+    differ from the ``order=0`` block in the last bits.
     """
     ar = params.resolvent
-    bt, _, sm_t, _ = _smoothed_pair(params, z, order)
-    return tuple(
-        (ar.apply_r0_values(f[0], f[1:]), -params.D * ar.apply_r0_values(s[0], s[1:])) for f, s in zip(bt, sm_t)
-    )
-
-
-def m_top_left(params: RHParams, z: float) -> np.ndarray:
-    """Top-left 2x2 block of the RH matrix via Airy-resolvent formulas."""
-    ar = params.resolvent
-    (bt,), (b,), (sm_t,), (sm,) = _smoothed_pair(params, z, 0)
-
-    def r0(f):
-        return ar.apply_r0_values(f[0], f[1:])
-
-    return np.array([[r0(bt), -1.0 / params.D * r0(sm)], [-params.D * r0(sm_t), r0(b)]])
+    D = params.D
+    r0 = ar.apply_r0
+    return np.array([[[r0(ft), -1.0 / D * r0(s)], [-D * r0(st), r0(f)]]
+                     for ft, f, st, s in zip(*_smoothed_pair(params, z, order))])
 
 
 def _check_pair(plus: RHParams, minus: RHParams) -> None:

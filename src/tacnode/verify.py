@@ -150,7 +150,7 @@ def check_tw(sigmas=DEFAULT_TW_SIGMAS, res: Resolution = Resolution()) -> list[C
         # boundary-functional exchange identities with the probe b(x) = exp(-x)
         probe = np.exp(-x)
         sm = ar.smooth(probe)
-        exch_q.append(ar.weights @ (ar.qvec * probe) - ar.apply_r0_values(sm[0], sm[1:]))
+        exch_q.append(ar.weights @ (ar.qvec * probe) - ar.apply_r0(sm))
         exch_r.append(float((ar.weights * ar.qvec) @ ar.smoothing @ (ar.weights * probe))
                       - float(ar.weights @ (ar.r0 * probe)))
     for name, statement, resid in (
@@ -201,8 +201,8 @@ def check_resolvent_kernel(res: Resolution = Resolution()) -> list[CheckReport]:
                 p1, p2 = rf.phat(p, tau, z)
                 bt0 = rf.b_values(p, tau, z, np.array([0.0]), tilde=True)[0]
                 b0 = rf.b_values(p, tau, z, np.array([0.0]))[0]
-                p1q = bt0 - p.lam ** (-1.0 / 6.0) * float(ar.weights @ (ar.qvec * a_plain.values))
-                p2q = b0 - p.lam ** (1.0 / 6.0) * float(ar.weights @ (ar.qvec * a_tilde.values))
+                p1q = bt0 - p.lam ** (-1.0 / 6.0) * float(ar.weights @ (ar.qvec * a_plain[1:]))
+                p2q = b0 - p.lam ** (1.0 / 6.0) * float(ar.weights @ (ar.qvec * a_tilde[1:]))
                 resid.extend([p1 - p1q, p2 - p2q])
     reports.append(CheckReport.build(
         "phat_equivalent_forms", "resolvent and Q-integral expressions of phat agree",
@@ -264,7 +264,7 @@ def check_resolvent_kernel(res: Resolution = Resolution()) -> list[CheckReport]:
             btv = rf.b_values(p, -p.tau2, v, ar.nodes, tilde=True)
             au = rf.script_a(p, p.tau1, u)
             av = rf.script_a(p, -p.tau2, v)
-            smooth_part = p.C * p.lam ** (1.0 / 3.0) * float(w @ (btu * btv)) + p.C * float(w @ (au.values * ar.solve(av.values)))
+            smooth_part = p.C * p.lam ** (1.0 / 3.0) * float(w @ (btu * btv)) + p.C * float(w @ (au[1:] * ar.solve(av[1:])))
             dt = p.tau2 - p.tau1
             heat = -math.exp(-((v - u) ** 2) / (4 * dt)) / math.sqrt(4 * math.pi * dt) if dt > 1e-12 else 0.0
             resid.append(rf.kernel(p, u, v) - smooth_part - heat)
@@ -309,7 +309,7 @@ def check_resolvent_kernel(res: Resolution = Resolution()) -> list[CheckReport]:
     reports.append(CheckReport.build(
         "strong_interaction_decay",
         "Sigma = 20: kernel, its derivative, and the smoothing correction all vanish",
-        [rf.kernel(decay, 0.0, 0.0), rf.kernel_dsigma(decay, 0.0, 0.0), np.max(np.abs(a_dec.values - b_dec))],
+        [rf.kernel(decay, 0.0, 0.0), rf.kernel_dsigma(decay, 0.0, 0.0), np.max(np.abs(a_dec[1:] - b_dec))],
         1e-10, ((0.0, 0.0),)))
     return reports
 
@@ -328,7 +328,7 @@ def check_rh_kernel(paramsets=DEFAULT_RH_SETS, res: Resolution = Resolution()) -
     for p in params:
         for z in DEFAULT_POINTS:
             g = rh.p_vector(p, z)
-            m = rh.m_top_left(p, z)
+            m = rh.m_top_left(p, z)[0]
             resid.extend([g.p1 - (m[0, 0] + m[0, 1]), g.p2 - (m[1, 0] + m[1, 1])])
     reports.append(CheckReport.build(
         "p_column_sum", "p equals the sum of the first two columns of the RH block",
@@ -366,8 +366,8 @@ def check_rh_kernel(paramsets=DEFAULT_RH_SETS, res: Resolution = Resolution()) -
         q, u = ar.q, ar.u
         dq = ar.p - q * u
         for z in DEFAULT_POINTS:
-            (m1, m2), (dm1, dm2) = rh.m_first_column(p, z, order=1)
-            ddm1 = _richardson(lambda t: rh.m_first_column(p, t, order=1)[1][0], z, _H1)
+            (m1, m2), (dm1, dm2) = rh.m_top_left(p, z, order=1)[:, :, 0]
+            ddm1 = _richardson(lambda t: rh.m_top_left(p, t, order=1)[1, 0, 0], z, _H1)
             lhs = p.r1**-2 * ddm1
             rhs = (2 * p.tau * dm1 + p.C**2 / p.D * q * dm2
                    + (p.C * q * q - z + 2 * p.s1 / p.r1 - p.r1**2 * p.tau**2) * m1
@@ -411,10 +411,10 @@ def check_rh_kernel(paramsets=DEFAULT_RH_SETS, res: Resolution = Resolution()) -
             bt_nodes = rh.b_values(p, z, nodes, tilde=True)
             smp = ar.smoothing_prime @ (ar.weights * bt_nodes)
             a_x = p.C * db_plain - p.D * smp
-            dz_resid.extend(a1.values - (a_x - p.D * ar.ai_nodes * bt0) / p.C)
-            rhs = ((z + p.C * nodes + 2 * p.s2 / p.r2 - p.r2**2 * p.tau**2) * a0.values
+            dz_resid.extend(a1[1:] - (a_x - p.D * ar.ai_nodes * bt0) / p.C)
+            rhs = ((z + p.C * nodes + 2 * p.s2 / p.r2 - p.r2**2 * p.tau**2) * a0[1:]
                    + p.C * p.D * (ar.ai_nodes * btp0 - ar.aip_nodes * bt0))
-            dzz_resid.extend(p.r2**-2 * a2.values + 2 * p.tau * a1.values - rhs)
+            dzz_resid.extend(p.r2**-2 * a2[1:] + 2 * p.tau * a1[1:] - rhs)
     reports.append(CheckReport.build(
         "smoothed_profile_dz", "d/dz A = C^-1 (d/dx A - D Ai(x+sigma) b_tilde(0))",
         dz_resid, 1e-6, DEFAULT_POINTS))
@@ -432,8 +432,8 @@ def check_rh_kernel(paramsets=DEFAULT_RH_SETS, res: Resolution = Resolution()) -
             a_tilde = rh.script_a(p, z, tilde=True)[0]
             b0 = rh.b_values(p, z, np.array([0.0]))[0]
             bt0 = rh.b_values(p, z, np.array([0.0]), tilde=True)[0]
-            p1q = bt0 - float(ar.weights @ (ar.qvec * a_plain.values)) / p.D
-            p2q = b0 - p.D * float(ar.weights @ (ar.qvec * a_tilde.values))
+            p1q = bt0 - float(ar.weights @ (ar.qvec * a_plain[1:])) / p.D
+            p2q = b0 - p.D * float(ar.weights @ (ar.qvec * a_tilde[1:]))
             resid.extend([g.p1 - p1q, g.p2 - p2q])
     reports.append(CheckReport.build(
         "p_equivalent_forms", "resolvent and Q-integral expressions of p agree",
@@ -455,7 +455,7 @@ def check_rh_kernel(paramsets=DEFAULT_RH_SETS, res: Resolution = Resolution()) -
 
     sym = params[0]
     if sym.r1 == sym.r2 and sym.s1 == sym.s2 and sym.tau == 0.0:
-        m = rh.m_top_left(sym, 0.0)
+        m = rh.m_top_left(sym, 0.0)[0]
         b = rh.b_values(sym, 0.0, np.array([0.0, 0.7]))
         bt = rh.b_values(sym, 0.0, np.array([0.0, 0.7]), tilde=True)
         reports.append(CheckReport.build(

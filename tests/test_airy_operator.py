@@ -10,7 +10,7 @@ import pytest
 
 import tacnode
 from tacnode import airy_operator, verify
-from tacnode.airy import airy_ai, airy_ai_prime
+from tacnode.airy import airy_ai, airy_ai_pair, airy_ai_prime
 from tacnode.airy_operator import (
     Resolution,
     airy_kernel_shifted,
@@ -99,7 +99,7 @@ def test_vanishing_kernel_limit():
     assert np.max(np.abs(ar.r0)) <= 1e-10
     g = np.sin(ar.nodes)
     assert np.max(np.abs(ar.solve(g) - g)) <= 1e-9
-    assert ar.apply_r0_values(np.cos(0.0), np.cos(ar.nodes)) == pytest.approx(1.0, abs=1e-9)
+    assert ar.apply_r0(np.cos(np.concatenate(([0.0], ar.nodes)))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tail_shift_matches_airy_function():
@@ -127,11 +127,11 @@ def test_resolvent_identity_roundtrip(sigma):
     assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
 
 
-def test_apply_r0_values():
+def test_apply_r0():
     ar = get_resolvent(0.0)
-    assert ar.apply_r0_values(0.0, np.zeros_like(ar.nodes)) == 0.0
+    assert ar.apply_r0(np.zeros(ar.resolution.m + 1)) == 0.0
     # (I + R) applied to Ai(. + sigma) recovers q through the boundary identity
-    value = ar.apply_r0_values(airy_ai(ar.sigma), airy_ai(ar.nodes + ar.sigma))
+    value = ar.apply_r0(airy_ai(np.concatenate(([0.0], ar.nodes)) + ar.sigma))
     assert value == pytest.approx(ar.q, abs=1e-10)
 
 
@@ -141,6 +141,63 @@ def test_nystrom_extension_consistency():
     i = 17
     assert ar.extend(ar.qvec, g, float(ar.nodes[i])) == pytest.approx(ar.qvec[i], abs=1e-12)
     assert ar.extend(ar.qvec, g, 0.0) == ar.q  # same composition, bit for bit
+
+
+def _counted_airy(monkeypatch):
+    """Record the number of points of every ``airy_operator`` Airy call."""
+    calls = []
+    airy = airy_operator.airy_ai_pair
+
+    def counted(x):
+        calls.append(np.size(x))
+        return airy(x)
+
+    monkeypatch.setattr(airy_operator, "airy_ai_pair", counted)
+    return calls
+
+
+def _broadcast_kernel(sigma, x, y):
+    """Reference ``K_sigma``: Airy at every broadcast point, and the midpoint form at every point where any is near."""
+    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float)))
+    ai_x, aip_x = airy_ai_pair(x + sigma)
+    ai_y, aip_y = airy_ai_pair(y + sigma)
+    diff = x - y
+    near = np.abs(diff) < 1e-5
+    k = (ai_x * aip_y - aip_x * ai_y) / np.where(near, 1.0, diff)
+    if near.any():
+        mid = 0.5 * (x + y) + sigma
+        ai_m, aip_m = airy_ai_pair(mid)
+        k = np.where(near, aip_m * aip_m - mid * ai_m * ai_m, k)
+    return k
+
+
+def test_off_grid_rows_evaluate_airy_at_x_only(monkeypatch):
+    ar = get_resolvent(-1.0)
+    ar.resolvent_matrix  # solved from the stored node values, with no Airy call
+    calls = _counted_airy(monkeypatch)
+    t = 0.5 * float(ar.nodes[10] + ar.nodes[11])
+    ar.resolvent_at(t, 3)
+    assert calls == [1]
+    calls.clear()
+    ar.extend(ar.qvec, lambda y: airy_ai(y + ar.sigma), t)
+    assert calls == [1]
+    calls.clear()
+    ar.extend(ar.qvec, lambda y: airy_ai(y + ar.sigma), np.array([0.3, t, 2.0]))
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("j", [17, 40])
+def test_off_grid_rows_near_a_node_match_the_broadcast_kernel(monkeypatch, j):
+    ar = get_resolvent(-1.0)
+    t = float(ar.nodes[17]) + 1e-7
+    column = ar.resolvent_matrix[:, j]
+    ref = _broadcast_kernel(ar.sigma, t, ar.nodes[j]) + _broadcast_kernel(ar.sigma, [[t]], ar.nodes[None, :]) @ (
+        ar.weights * column)
+    calls = _counted_airy(monkeypatch)
+    assert ar.resolvent_at(t, j) == float(ref[0])  # bit for bit
+    assert calls == [1, 1]  # x, then the midpoint form at the one near node
+    krows = airy_kernel_shifted(ar.sigma, np.array([t, 0.4])[:, None], ar.nodes[None, :])
+    assert np.array_equal(krows, _broadcast_kernel(ar.sigma, np.array([t, 0.4])[:, None], ar.nodes[None, :]))
 
 
 def test_smooth_stacked_columns_match_vector_calls():

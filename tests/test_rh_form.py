@@ -100,17 +100,18 @@ def test_profile_x_and_z_derivatives_proportional(skew):
 
 def test_smoothed_profile_limits():
     big = RHParams.create(1.0, 1.0, 10.0, 10.0, 0.0)
-    a = script_a(big, 0.4)[0]
+    a = script_a(big, 0.4)
     b = b_values(big, 0.4, np.concatenate(([0.0], big.resolvent.nodes)))
-    assert abs(a.at0 - b[0]) <= 1e-12
-    assert np.max(np.abs(a.values - b[1:])) <= 1e-12
+    assert a.shape == (1, big.resolution.m + 1)
+    assert abs(a[0, 0] - b[0]) <= 1e-12
+    assert np.max(np.abs(a[0, 1:] - b[1:])) <= 1e-12
 
 
 def test_p_matches_column_sums(sym, skew):
     for p in (sym, skew):
         for z in (-1.0, 0.0, 1.0):
             g = p_vector(p, z)
-            m = m_top_left(p, z)
+            m = m_top_left(p, z)[0]
             assert g.p1 == pytest.approx(m[0, 0] + m[0, 1], abs=1e-12)
             assert g.p2 == pytest.approx(m[1, 0] + m[1, 1], abs=1e-12)
 
@@ -127,9 +128,10 @@ def test_p_vector_makes_one_airy_call(skew, monkeypatch, derivs):
     monkeypatch.setattr(rh, "airy_ai_pair", counted)
     p_vector(skew, 0.4, derivs=derivs)
     assert len(calls) == 1
-    calls.clear()
-    m_top_left(skew, 0.4)
-    assert len(calls) == 1
+    for order in (0, 1):
+        calls.clear()
+        m_top_left(skew, 0.4, order=order)
+        assert len(calls) == 1
 
 
 def test_p_equivalent_forms(skew):
@@ -140,8 +142,8 @@ def test_p_equivalent_forms(skew):
         a_tilde = script_a(skew, z, tilde=True)[0]
         b0 = b_values(skew, z, np.array([0.0]))[0]
         bt0 = b_values(skew, z, np.array([0.0]), tilde=True)[0]
-        assert g.p1 == pytest.approx(bt0 - float(ar.weights @ (ar.qvec * a_plain.values)) / skew.D, abs=1e-9)
-        assert g.p2 == pytest.approx(b0 - skew.D * float(ar.weights @ (ar.qvec * a_tilde.values)), abs=1e-9)
+        assert g.p1 == pytest.approx(bt0 - float(ar.weights @ (ar.qvec * a_plain[1:])) / skew.D, abs=1e-9)
+        assert g.p2 == pytest.approx(b0 - skew.D * float(ar.weights @ (ar.qvec * a_tilde[1:])), abs=1e-9)
 
 
 def _at_shift(sigma, tau, r1=1.2, r2=0.9):
@@ -166,8 +168,8 @@ def test_p_vector_equals_boundary_row_of_script_a(sigma, tol):
             a_tilde = script_a(p, z, tilde=True, order=1)
             a_plain = script_a(p, z, order=1)
             for new, a in zip((g.p1, g.dp1, g.p2, g.dp2), (*a_tilde, *a_plain)):
-                scale = abs(a.at0) + ar.weights @ np.abs(ar.r0 * a.values)
-                assert abs(new - ar.apply_r0_values(*a)) <= tol * scale
+                scale = abs(a[0]) + ar.weights @ np.abs(ar.r0 * a[1:])
+                assert abs(new - ar.apply_r0(a)) <= tol * scale
 
 
 def test_tail_makes_one_airy_call_per_side_and_no_smoothing(fresh_resolvent_cache, monkeypatch):
@@ -214,13 +216,29 @@ def test_tail_equals_shift_by_shift_sum(tau):
 
 def test_m_block_limits_and_symmetry(sym):
     big = RHParams.create(1.0, 1.0, 10.0, 10.0, 0.0)
-    m = m_top_left(big, 0.3)
+    m = m_top_left(big, 0.3)[0]
     bt0 = b_values(big, 0.3, np.array([0.0]), tilde=True)[0]
     assert m[0, 0] == pytest.approx(bt0, abs=1e-10)
     assert abs(m[0, 1]) <= 1e-10 and abs(m[1, 0]) <= 1e-10
-    m0 = m_top_left(sym, 0.0)
+    m0 = m_top_left(sym, 0.0)[0]
     assert m0[0, 0] == pytest.approx(m0[1, 1], abs=1e-12)
     assert m0[0, 1] == pytest.approx(m0[1, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("z", [-1.0, 0.0, 1.0])
+def test_m_block_z_derivative_matches_richardson(sym, skew, z):
+    h = 1e-3
+
+    def central(p, step):
+        return (m_top_left(p, z + step)[0] - m_top_left(p, z - step)[0]) / (2 * step)
+
+    for p in (sym, skew):
+        m = m_top_left(p, z, order=1)
+        assert m.shape == (2, 2, 2)
+        rich = (4 * central(p, h / 2) - central(p, h)) / 3
+        assert np.max(np.abs(m[1] - rich)) <= 1e-10  # all four entries, M12 and M22 too
+        # the wider smoothing product may round the block itself differently
+        assert np.max(np.abs(m[0] - m_top_left(p, z)[0])) <= 1e-14
 
 
 def test_p_phat_scaling():
