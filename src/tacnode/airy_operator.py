@@ -28,6 +28,7 @@ from .quadrature import QuadratureRule, affine_map_rule, gauss_legendre_rule
 SIGMA_MIN = -8.0
 DET_FLOOR = 1e-8
 _NEAR_DIAGONAL = 1e-5
+_AIRY_BLOCK = 4096  # most Airy points per call of a batched build
 
 
 @dataclass(frozen=True)
@@ -237,18 +238,30 @@ def build_airy_resolvents(sigmas, resolution: Resolution = Resolution()) -> Iter
     """Discretize ``(I - K_sigma)^{-1}`` at each shift of ``sigmas``, yielding the resolvents in order.
 
     Every shift is checked against ``SIGMA_MIN`` before any work is done
-    (a NaN shift fails the check), and one Airy call on the stacked
-    grids ``[0, nodes] + sigma`` serves all of them.  The determinant
-    guard and the solves of each shift run as the iterator reaches it, so
-    only one ``m x m`` system is held at a time.
+    (a NaN shift fails the check).  Airy runs on the stacked grids
+    ``[0, nodes] + sigma`` of a block of shifts at a time, one call per
+    block of at most ``_AIRY_BLOCK`` points (50 shifts at ``m = 80``, so a
+    tail's 40 shifts take one call), as the iterator reaches the block:
+    the Airy temporaries, about 80 bytes a point, stay near 0.3 MiB
+    however many shifts there are.  The determinant guard and the solves
+    of each shift run as the iterator reaches it, so only one ``m x m``
+    system is held at a time.
     """
     sigmas = np.array(sigmas, dtype=float, ndmin=1)
     low = sigmas[~(sigmas >= SIGMA_MIN)]
     if low.size:
         raise UnsupportedRangeError(f"shift {low[0]} is not at or above the supported minimum {SIGMA_MIN}")
-    rule = _ray_rule(resolution.m, resolution.T)
-    ai, aip = airy_ai_pair(np.concatenate(([0.0], rule.nodes)) + sigmas[:, None])
-    return map(functools.partial(_assemble, resolution, rule), sigmas.tolist(), ai, aip)
+    return _build_blocks(sigmas, resolution, _ray_rule(resolution.m, resolution.T))
+
+
+def _build_blocks(sigmas: np.ndarray, resolution: Resolution, rule: QuadratureRule) -> Iterator[AiryResolvent]:
+    """The resolvents at checked ``sigmas``: one Airy call per block of shifts, made when the iterator reaches it."""
+    grid = np.concatenate(([0.0], rule.nodes))
+    step = max(1, _AIRY_BLOCK // len(grid))
+    assemble = functools.partial(_assemble, resolution, rule)
+    for start in range(0, len(sigmas), step):
+        block = sigmas[start:start + step]
+        yield from map(assemble, block.tolist(), *airy_ai_pair(grid + block[:, None]))
 
 
 def _assemble(resolution: Resolution, rule: QuadratureRule, sigma: float, ai, aip) -> AiryResolvent:
@@ -286,19 +299,19 @@ def build_airy_resolvent(sigma: float, resolution: Resolution = Resolution()) ->
     return ar
 
 
-def check_truncation(sigma: float, resolution: Resolution = Resolution()) -> None:
+def check_truncation(sigma: float, q: float, det: float, resolution: Resolution = Resolution()) -> None:
     """Raise ``TruncationInsufficientError`` if ``T`` truncates visible mass at ``sigma``.
 
-    Compares :func:`get_resolvent` at ``resolution``, which a later lookup
-    finds in the cache, with one build at ``T + 4``: a drift of more than
-    1e-10 in ``q`` or the determinant fails.
+    ``q`` and ``det`` are the values at ``sigma`` computed at ``resolution``,
+    from a build or a cache file; they are compared with one build at
+    ``T + 4``, the only build made here: a drift of more than 1e-10 in
+    either fails.
     """
-    ar = get_resolvent(sigma, resolution)
     wide = build_airy_resolvent(sigma, Resolution(resolution.m, resolution.T + 4.0))
-    if abs(wide.q - ar.q) > 1e-10 or abs(wide.det - ar.det) > 1e-10:
+    if abs(wide.q - q) > 1e-10 or abs(wide.det - det) > 1e-10:
         raise TruncationInsufficientError(
-            f"T = {resolution.T} truncates visible mass at sigma = {ar.sigma}: "
-            f"dq = {wide.q - ar.q:.3e}, ddet = {wide.det - ar.det:.3e}"
+            f"T = {resolution.T} truncates visible mass at sigma = {wide.sigma}: "
+            f"dq = {wide.q - q:.3e}, ddet = {wide.det - det:.3e}"
         )
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 argument errors, 3 numerical or I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -18,10 +19,10 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .airy_operator import Resolution, check_truncation
+from .airy_operator import Resolution, check_truncation, get_resolvent
 from .errors import TacnodeError
 from .gap import gap_probability
-from .io import KernelGrid, Table, load_or_build, write_table
+from .io import KernelGrid, Table, tw_scalars, write_table
 from .resolvent_form import ResolventParams, kernel_grid
 from .rh_form import RHParams, residue_matrix
 from .verify import run_suite
@@ -89,6 +90,7 @@ def _add_fv_params(parser):
     parser.add_argument("--tau2", type=_finite, default=None)
 
 
+@functools.cache  # argparse keeps no state of a parse: each parse_args fills a fresh namespace
 def _build_parser():
     parser = argparse.ArgumentParser(prog="tacnode", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"tacnode {__version__}")
@@ -147,14 +149,19 @@ def _fv_params(args, resolution: Resolution) -> ResolventParams:
     )
 
 
+def _check_truncation(sigma: float, resolution: Resolution) -> None:
+    """``--strict`` at one shift; the checked build stays in the resolvent cache, where the command finds it."""
+    ar = get_resolvent(sigma, resolution)
+    check_truncation(ar.sigma, ar.q, ar.det, resolution)
+
+
 def _cmd_tw(args) -> int:
     resolution = Resolution(args.m, args.T)
+    sigmas = args.sigma_grid.tolist()
+    rows = [(sigma, *scalars) for sigma, scalars in zip(sigmas, tw_scalars(sigmas, resolution))]
     if args.strict:
-        check_truncation(float(np.min(args.sigma_grid)), resolution)
-    rows = []
-    for sigma in args.sigma_grid:
-        q, p, u, v, det = load_or_build(float(sigma), resolution)
-        rows.append((float(sigma), q, p, u, v, det))
+        sigma, q, p, u, v, det = min(rows)  # the row of the lowest shift
+        check_truncation(sigma, q, det, resolution)
     table = Table(("sigma", "q", "p", "u", "v", "det"), rows, {"m": args.m, "T": args.T})
     if args.out:
         write_table(table, args.format, args.out, banner=not args.no_banner)
@@ -173,7 +180,7 @@ def _cmd_kernel(args) -> int:
         raise ValueError("provide --grid or both --u-grid and --v-grid")
     params = _fv_params(args, resolution)
     if args.strict:
-        check_truncation(params.sigma, resolution)
+        _check_truncation(params.sigma, resolution)
     values = kernel_grid(params, us, vs)
     meta = {
         "lambda": params.lam, "Sigma": params.Sigma, "sigma": params.sigma,
@@ -191,7 +198,7 @@ def _cmd_gap(args) -> int:
     resolution = Resolution(args.m, args.T)
     params = _fv_params(args, resolution)
     if args.strict:
-        check_truncation(params.sigma, resolution)
+        _check_truncation(params.sigma, resolution)
     value = gap_probability(params, args.a1, args.a2, args.gap_m)
     if args.out:
         table = Table(
@@ -209,7 +216,7 @@ def _cmd_residue(args) -> int:
     resolution = Resolution(args.m, args.T)
     params = RHParams.create(args.r1, args.r2, args.s1, args.s2, args.tau, resolution)
     if args.strict:
-        check_truncation(params.sigma, resolution)
+        _check_truncation(params.sigma, resolution)
     e = residue_matrix(params)
     names = ("d", "d_tilde", "c", "c_tilde", "b", "b_tilde", "beta", "beta_tilde", "f", "f_tilde")
     rows = [(name, getattr(e, name)) for name in names]

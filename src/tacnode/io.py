@@ -15,6 +15,9 @@ prints of a resolvent build, one ``tag value`` line each, under the header
 ``TACNODE-RESOLVENT v3``: ``sigma=``, ``m=``, ``T=``, ``det=``, ``q=``,
 ``p=``, ``u=``, ``v=``, then ``crc32=``, the ``zlib.crc32`` of every line
 above it.  A load parses these lines and makes no Airy call and no solve.
+:func:`tw_scalars` reads the valid cache file of each shift it is given.
+The other shifts, all of them when the variable is unset, are built in one
+batched pass, which writes each of their files as it reaches the shift.
 Cache paths are plain strings: ``pathlib`` (CPython 3.10, 3.11) interns every
 part of a path for good, so a ``Path`` per new shift would leak memory.
 """
@@ -32,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .airy_operator import Resolution, build_airy_resolvent, get_resolvent
+from .airy_operator import Resolution, build_airy_resolvents
 from .errors import CacheInvalidError
 
 CACHE_ENV = "TACNODE_CACHE_DIR"
@@ -198,24 +201,37 @@ def _cache_filename(sigma: float, resolution: Resolution) -> str:
     return "resolvent_" + tag.replace("/", "_") + ".txt"
 
 
-def load_or_build(sigma: float, resolution: Resolution = Resolution()) -> tuple[float, float, float, float, float]:
-    """The ``tw`` scalars ``(q, p, u, v, det)`` at ``sigma``, via the disk cache when ``TACNODE_CACHE_DIR`` is set.
+def tw_scalars(sigmas, resolution: Resolution = Resolution()) -> list[tuple[float, float, float, float, float]]:
+    """The ``tw`` scalars ``(q, p, u, v, det)`` at each shift of ``sigmas``, in order.
 
-    With the variable set, a valid cache file is read and nothing is built; a missing or invalid
-    one is replaced by a fresh build's.  Without it the scalars come from the in-memory
-    :func:`~tacnode.airy_operator.get_resolvent`.
+    With ``TACNODE_CACHE_DIR`` set, each valid cache file is read; every
+    other shift, and every shift without the variable, is a miss.  The
+    misses are built in one :func:`~tacnode.airy_operator.build_airy_resolvents`
+    pass, which checks them all against ``SIGMA_MIN`` first; with the
+    variable set, each miss's file is written as the pass reaches it.
     """
+    sigmas = [float(s) for s in sigmas]
     cache_dir = os.environ.get(CACHE_ENV)
+    paths = [os.path.join(cache_dir, _cache_filename(s, resolution)) if cache_dir else None for s in sigmas]
+    rows = [_cached_scalars(s, resolution, path) for s, path in zip(sigmas, paths)]
+    misses = [k for k, row in enumerate(rows) if row is None]
+    if not misses:
+        return rows
+    built = build_airy_resolvents([sigmas[k] for k in misses], resolution)
     if cache_dir:
-        path = os.path.join(cache_dir, _cache_filename(sigma, resolution))
-        if os.path.exists(path):
-            try:
-                return load_resolvent(sigma, resolution, path)
-            except CacheInvalidError:
-                pass
-        ar = build_airy_resolvent(sigma, resolution)
         os.makedirs(cache_dir, exist_ok=True)
-        cache_resolvent(ar, path)
-    else:
-        ar = get_resolvent(sigma, resolution)
-    return ar.q, ar.p, ar.u, ar.v, ar.det
+    for k, ar in zip(misses, built):
+        if cache_dir:
+            cache_resolvent(ar, paths[k])
+        rows[k] = (ar.q, ar.p, ar.u, ar.v, ar.det)
+    return rows
+
+
+def _cached_scalars(sigma: float, resolution: Resolution, path: str | None):
+    """The scalars of a valid cache file at ``path``, or ``None`` for no path or a missing or invalid file."""
+    if path and os.path.exists(path):
+        try:
+            return load_resolvent(sigma, resolution, path)
+        except CacheInvalidError:
+            pass
+    return None

@@ -8,6 +8,7 @@ digits), so it never touches the library's own float64 branches.
 from __future__ import annotations
 
 import functools
+import sys
 
 import pytest
 from mpmath import mp
@@ -52,3 +53,27 @@ def fresh_resolvent_cache(monkeypatch):
         caches.append(functools.lru_cache(maxsize=shared.cache_info().maxsize)(shared.__wrapped__))
         monkeypatch.setattr(airy_operator, name, caches[-1])
     return tuple(caches)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name)`` counts the calls of ``name`` through every tacnode module that holds it.
+
+    It returns the list that each call appends its positional arguments to.
+    """
+
+    def count(name):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for key, mod in list(sys.modules.items()):
+            if (key == "tacnode" or key.startswith("tacnode.")) and callable(getattr(mod, name, None)):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        return calls
+
+    return count

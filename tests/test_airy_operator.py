@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,16 +258,19 @@ def test_nan_determinant_is_singular(monkeypatch):
 
 def test_strict_mode_passes_at_default_truncation(fresh_resolvent_cache):
     resolvents, _ = fresh_resolvent_cache
-    check_truncation(0.5)
-    # the checked build stays in the resolvent cache, the wide one does not
+    ar = get_resolvent(0.5)
+    check_truncation(0.5, ar.q, ar.det)
+    # the wide build does not enter the resolvent cache
     assert resolvents.cache_info().currsize == 1
     assert 0.0 < get_resolvent(0.5).det < 1.0
     assert resolvents.cache_info().hits == 1
 
 
 def test_strict_mode_flags_short_truncation():
+    short = Resolution(80, 6.0)
+    ar = build_airy_resolvent(-4.0, short)
     with pytest.raises(TruncationInsufficientError, match="truncates visible mass"):
-        check_truncation(-4.0, Resolution(80, 6.0))
+        check_truncation(-4.0, ar.q, ar.det, short)
 
 
 def test_scalar_invariants_from_shared_build():
@@ -382,6 +386,49 @@ def test_batched_build_stops_at_the_first_singular_shift(fresh_resolvent_cache):
     with pytest.raises(SingularResolventError, match=r"at sigma = -4\.0 "):
         get_boundary_rows([0.0, -4.0, -4.5], res)
     assert fresh_resolvent_cache[1].cache_info().currsize == 0
+
+
+def test_batched_build_makes_one_airy_call_per_block(monkeypatch):
+    shifts = np.linspace(-2.0, 12.0, 120)  # 50 + 50 + 20 shifts in blocks of at most 4,096 points at m = 80
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return airy_ai_pair(x)
+
+    monkeypatch.setattr(airy_operator, "airy_ai_pair", counted)
+    built = build_airy_resolvents(shifts)
+    assert shapes == []  # Airy runs as the pass reaches each block
+    resolvents = []
+    for k, ar in enumerate(built):
+        assert len(shapes) == k // 50 + 1
+        resolvents.append(ar)
+    assert shapes == [(50, 81), (50, 81), (20, 81)]
+    assert all(rows * cols <= airy_operator._AIRY_BLOCK for rows, cols in shapes)
+    monkeypatch.undo()
+    for s, ar in zip(shifts, resolvents):
+        single = build_airy_resolvent(s)
+        assert ar.sigma == single.sigma == s
+        assert (ar.det, ar.q, ar.p, ar.u, ar.v) == (single.det, single.q, single.p, single.u, single.v)
+        for name in ("r0", "qvec", "pvec", "ai_nodes", "aip_nodes"):
+            assert np.array_equal(getattr(ar, name), getattr(single, name))
+
+
+def test_batched_build_memory_stays_flat():
+    shifts = np.linspace(-3.0, 14.0, 2000)
+    grid = np.concatenate(([0.0], airy_operator._ray_rule(80, 16.0).nodes))
+    tracemalloc.start()
+    try:
+        for _ in build_airy_resolvents(shifts):
+            pass
+        blocked = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        airy_ai_pair(grid + shifts[:, None])  # the same Airy points in one call
+        one_call = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked < 4 * 2**20
+    assert blocked < one_call / 10
 
 
 _NUMPY_ONLY = textwrap.dedent("""

@@ -1,5 +1,8 @@
 import argparse
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -167,6 +170,115 @@ def test_strict_kernel_run_makes_two_builds(tmp_path, monkeypatch, fresh_resolve
     assert run_cli(argv) == 0
     # the checked build serves the kernel from the cache; only the wide one is extra
     assert sorted(truncations) == [16.0, 20.0]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_strict_tw_run_builds_each_miss_once_and_one_wide(tmp_path, monkeypatch, count_calls, cached):
+    if cached:
+        monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv("TACNODE_CACHE_DIR", raising=False)
+    # every resolvent build goes through build_airy_resolvents
+    calls = count_calls("build_airy_resolvents")
+    argv = _STRICT_RUNS["tw"] + ["--strict", "--out", str(tmp_path / "tw.csv")]
+    builds = []
+    for _ in range(2):
+        assert run_cli(argv) == 0
+        builds.append(sorted((res.T, s) for sigmas, res in calls for s in sigmas))
+        calls.clear()
+    # one build at T = 16 per miss and one at T + 4 for the lowest shift; a warm cache has no misses
+    assert builds[0] == [(16.0, -1.0), (16.0, 0.0), (16.0, 1.0), (20.0, -1.0)]
+    assert builds[1] == ([(20.0, -1.0)] if cached else builds[0])
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_tw_grid_failures_exit_3_without_output(tmp_path, monkeypatch, capsys, count_calls, cached):
+    cache = tmp_path / "cache"
+    if cached:
+        monkeypatch.setenv("TACNODE_CACHE_DIR", str(cache))
+    else:
+        monkeypatch.delenv("TACNODE_CACHE_DIR", raising=False)
+    airy = count_calls("airy_ai_pair")
+    out = tmp_path / "tw.csv"
+    # a shift below SIGMA_MIN fails before any build
+    assert run_cli(["tw", "--sigma-grid", "0:-8.5:3", "--out", str(out)]) == 3
+    assert "supported minimum" in capsys.readouterr().err
+    assert airy == [] and not out.exists() and not cache.exists()
+    # the pass stops at the first singular shift, after writing the files of the shifts before it
+    assert run_cli(["tw", "--sigma-grid", "-5:-6.5:4", "--out", str(out)]) == 3
+    assert "at sigma = -6.5 " in capsys.readouterr().err
+    assert not out.exists()
+    assert len(list(cache.glob("resolvent_*.txt"))) == (3 if cached else 0)
+    # a failing --strict check runs after the pass: it leaves the files of the grid's misses at T, none at T + 4
+    assert run_cli(["tw", "--sigma-grid", "-4:-3:2", "--T", "6", "--strict", "--out", str(out)]) == 3
+    assert "truncates visible mass" in capsys.readouterr().err
+    assert not out.exists()
+    assert len(list(cache.glob("resolvent_*.txt"))) == (5 if cached else 0)
+    assert len(list(cache.glob(f"resolvent_*_80_{6.0.hex()}.txt"))) == (2 if cached else 0)
+
+
+def test_runs_leave_no_option_behind(monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    monkeypatch.setitem(tacnode.cli._COMMANDS, "kernel", record)
+    base = ["kernel", "--lambda", "1.3", "--Sigma", "0.7", "--grid", "-1:1:3"]
+    assert run_cli(base + ["--tau1", "0.1", "--tau2", "0.35", "--strict"]) == 0
+    assert run_cli(base + ["--tau", "0.2"]) == 0
+    first, second = seen
+    assert (first.tau, first.tau1, first.tau2, first.strict) == (None, 0.1, 0.35, True)
+    assert (second.tau, second.tau1, second.tau2, second.strict) == (0.2, None, None, False)
+    assert first is not second
+
+
+_PARSED = [
+    ["tw", "--sigma-grid", "-1:1:3", "--strict"],
+    ["tw", "--sigma-grid", "8:14:7", "--format", "json", "--m", "60"],
+    ["kernel", "--lambda", "1.3", "--Sigma", "0.7", "--tau1", "0.1", "--tau2", "0.35", "--grid", "-2:2:41"],
+    ["kernel", "--lambda", "2", "--sigma", "-1", "--tau", "0.2", "--u-grid", "0:1:2", "--v-grid", "-.5:.5:3"],
+    ["gap", "--lambda", "1", "--Sigma", "1", "--tau", "0", "--a1", "-1", "--a2", "1", "--gap-m", "20"],
+    ["verify", "--suite", "compat", "--tol-scale", "2"],
+]
+
+
+def _parsed(argv):
+    args = tacnode.cli._build_parser().parse_args(tacnode.cli._normalize_argv(argv))
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in vars(args).items()}
+
+
+def test_parses_from_threads_equal_serial_parses():
+    # the parser is built once and shared: four threads (more than the cores of a small machine) parse at once
+    serial = [_parsed(argv) for argv in _PARSED]
+    start = threading.Barrier(4)
+
+    def parse_all(shift):
+        start.wait(timeout=60)
+        order = [(k + shift) % len(_PARSED) for k in range(len(_PARSED))]
+        return [(k, _parsed(_PARSED[k])) for _ in range(30) for k in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(parse_all, shift) for shift in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for parsed in results:
+        assert len(parsed) == 30 * len(_PARSED)
+        assert all(value == serial[k] for k, value in parsed)
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    tacnode.cli._build_parser.cache_clear()
+    assert run_cli(["tw", "--sigma-grid", "0:1:2", "--out", str(tmp_path / "a.csv")]) == 0
+    assert run_cli(["residue", "--r1", "1.2", "--r2", "0.9", "--s1", "0.4", "--s2", "0.7"]) == 0
+    assert run_cli(["tw"]) == 2
+    info = tacnode.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_verify_suite_exit_codes(tmp_path):

@@ -15,9 +15,9 @@ from tacnode.io import (
     Table,
     cache_resolvent,
     fmt,
-    load_or_build,
     load_resolvent,
     read_csv_table,
+    tw_scalars,
     write_table,
 )
 
@@ -228,52 +228,56 @@ def test_parameter_mismatch_rejected(tmp_path):
 
 def test_cache_dir_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path))
-    first = load_or_build(1.3, RES)
+    (first,) = tw_scalars([1.3], RES)
     files = list(tmp_path.glob("resolvent_*.txt"))
     assert len(files) == 1
-    second = load_or_build(1.3, RES)
+    (second,) = tw_scalars([1.3], RES)
     assert second == first
     # a stale file falls back to a rebuild and gets replaced
     files[0].write_text("garbage\n")
-    third = load_or_build(1.3, RES)
+    (third,) = tw_scalars([1.3], RES)
     assert third == first
     ar = get_resolvent(1.3, RES)
     assert (ar.q, ar.p, ar.u, ar.v, ar.det) == first
 
 
+def _v2_lines(sigma):
+    return ["TACNODE-RESOLVENT v2", f"sigma= {fmt(sigma)}", f"m= {RES.m}", "T= 1.6000000000000000e+01", "nodes:"]
+
+
+def _tampered_lines(written):
+    return [f"det= {fmt(0.5)}" if line.startswith("det=") else line for line in written.splitlines()]
+
+
 def test_v2_and_tampered_files_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path))
-    expected = load_or_build(0.3, RES)
+    expected = tw_scalars([0.3], RES)
     (path,) = tmp_path.glob("resolvent_*.txt")
     written = path.read_text()
-    v2 = ["TACNODE-RESOLVENT v2", "sigma= 2.9999999999999999e-01", f"m= {RES.m}", "T= 1.6000000000000000e+01", "nodes:"]
-    tampered = [f"det= {fmt(0.5)}" if line.startswith("det=") else line for line in written.splitlines()]
-    for stale in (v2, tampered):
+    for stale in (_v2_lines(0.3), _tampered_lines(written)):
         _rewrite(path, stale)
-        assert load_or_build(0.3, RES) == expected
+        assert tw_scalars([0.3], RES) == expected
         assert path.read_text() == written
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of ``name`` through every tacnode module that holds it."""
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(args)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for key, mod in list(sys.modules.items()):
-        if (key == "tacnode" or key.startswith("tacnode.")) and callable(getattr(mod, name, None)):
-            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
-    return calls
+@pytest.mark.parametrize("grid", [np.linspace(7.0, 8.0, 11), [0.3]], ids=["airy-seam", "one-shift"])
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_tw_rows_equal_single_builds(tmp_path, monkeypatch, grid, cached):
+    if cached:
+        monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv("TACNODE_CACHE_DIR", raising=False)
+    singles = [build_airy_resolvent(s, RES) for s in grid]
+    expected = np.array([(ar.q, ar.p, ar.u, ar.v, ar.det) for ar in singles])
+    for _ in range(1 + cached):  # with the cache: the writing pass, then the reading one
+        rows = np.array(tw_scalars(grid, RES))
+        assert rows.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
-def test_tw_reads_the_cache_on_its_second_pass(tmp_path, monkeypatch):
+def test_tw_reads_the_cache_on_its_second_pass(tmp_path, monkeypatch, count_calls):
     monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path / "cache"))
-    builds = _count_calls(monkeypatch, "build_airy_resolvent")
-    airy = _count_calls(monkeypatch, "airy_ai_pair")
+    builds = count_calls("build_airy_resolvents")
+    airy = count_calls("airy_ai_pair")
     solves = []
     solve = np.linalg.solve
 
@@ -286,12 +290,35 @@ def test_tw_reads_the_cache_on_its_second_pass(tmp_path, monkeypatch):
     counts = []
     for out in outs:
         assert run_cli(["tw", "--sigma-grid", "8.1:13.9:7", "--out", str(out)]) == 0
-        counts.append((len(builds), len(airy), len(solves)))
+        counts.append(([len(args[0]) for args in builds], len(airy), len(solves)))
         for calls in (builds, airy, solves):
             calls.clear()
-    assert counts[0] == (7, 7, 7)  # one build, Airy call and solve per shift
-    assert counts[1] == (0, 0, 0)
+    assert counts[0] == ([7], 1, 7)  # one pass on all 7 shifts: one Airy call, one solve per shift
+    assert counts[1] == ([], 0, 0)
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_mixed_cache_builds_only_the_misses_in_one_pass(tmp_path, monkeypatch, count_calls):
+    plain, mixed = tmp_path / "plain.csv", tmp_path / "mixed.csv"
+    argv = ["tw", "--sigma-grid", "8:14:7", "--out"]
+    monkeypatch.delenv("TACNODE_CACHE_DIR", raising=False)
+    assert run_cli(argv + [str(plain)]) == 0
+    # a cold cache of the whole grid, the files that the mixed run must end up with
+    monkeypatch.setenv("TACNODE_CACHE_DIR", str(tmp_path / "cold"))
+    assert run_cli(argv + [str(tmp_path / "cold.csv")]) == 0
+    cold = {path.name: path.read_bytes() for path in (tmp_path / "cold").iterdir()}
+    # a cache of every other shift: 8 and 14 valid, 10 tampered, 12 in the v2 layout; 9, 11 and 13 missing
+    cache = tmp_path / "mixed"
+    monkeypatch.setenv("TACNODE_CACHE_DIR", str(cache))
+    assert run_cli(["tw", "--sigma-grid", "8:14:4", "--out", str(tmp_path / "warm.csv")]) == 0
+    by_shift = {float.fromhex(path.name.split("_")[1]): path for path in cache.iterdir()}
+    _rewrite(by_shift[10.0], _tampered_lines(by_shift[10.0].read_text()))
+    _rewrite(by_shift[12.0], _v2_lines(12.0))
+    builds = count_calls("build_airy_resolvents")
+    assert run_cli(argv + [str(mixed)]) == 0
+    assert [list(args[0]) for args in builds] == [[9.0, 10.0, 11.0, 12.0, 13.0]]
+    assert mixed.read_bytes() == plain.read_bytes()
+    assert {path.name: path.read_bytes() for path in cache.iterdir()} == cold
 
 
 def test_cache_paths_intern_no_strings(tmp_path, monkeypatch):
@@ -305,8 +332,8 @@ def test_cache_paths_intern_no_strings(tmp_path, monkeypatch):
         return intern(s)
 
     monkeypatch.setattr(sys, "intern", counted)
-    written = [load_or_build(sigma, RES) for sigma in (8.25, 9.5)]  # builds and writes into a new directory
-    assert [load_or_build(sigma, RES) for sigma in (8.25, 9.5)] == written  # reads back
+    written = tw_scalars((8.25, 9.5), RES)  # builds and writes into a new directory
+    assert tw_scalars((8.25, 9.5), RES) == written  # reads back
     monkeypatch.undo()
     assert interned == []
     assert len(list((tmp_path / "cache").glob("resolvent_*.txt"))) == 2
